@@ -17,11 +17,9 @@ import (
 	"io"
 	"testing"
 
-	"didt/internal/core"
 	"didt/internal/experiments"
-	"didt/internal/pdn"
+	"didt/internal/sim"
 	"didt/internal/telemetry"
-	"didt/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -201,11 +199,7 @@ func benchSweep(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {
 		// Reset every memo so each iteration pays the full simulation
 		// cost; otherwise iterations after the first measure rendering.
-		experiments.ResetMemo()
-		experiments.ResetRunCache()
-		workload.ResetProgramCache()
-		pdn.ResetKernelCache()
-		core.ResetEnvelopeCache()
+		sim.ResetCaches()
 		for _, id := range ids {
 			if err := reg[id](cfg, io.Discard); err != nil {
 				b.Fatal(err)
@@ -238,11 +232,7 @@ func BenchmarkSpansOff(b *testing.B) {
 	cfg.Ctx = ctx
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.ResetMemo()
-		experiments.ResetRunCache()
-		workload.ResetProgramCache()
-		pdn.ResetKernelCache()
-		core.ResetEnvelopeCache()
+		sim.ResetCaches()
 		for _, id := range ids {
 			if err := reg[id](cfg, io.Discard); err != nil {
 				b.Fatal(err)

@@ -67,10 +67,12 @@ go test -race -count=1 \
 go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/experiments
 
 # Multi-rail smoke test under the race detector: the rail-graph family's
-# rendered bytes identical at parallel 1 and 8, and the multi-rail core
+# rendered bytes identical at parallel 1 and 8, the multi-rail core
 # (sequential RunBatch fallback, per-rail sensing, DVS composition) clean
-# under race.
-go test -race -count=1 -run 'TestRailsFamilyParallelDeterminism|TestMultiRail' \
+# under race, and the block driver's equivalence tests — Run equal (==)
+# to a cycle-by-cycle StepCycle loop on every Result field, single- and
+# multi-rail, at every sensor delay.
+go test -race -count=1 -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise' \
     ./internal/experiments ./internal/core
 
 # Result-store smoke test under the race detector: concurrent identical
@@ -83,11 +85,14 @@ go test -race -count=1 \
     ./internal/server ./internal/store
 
 # Allocation gate: the per-cycle simulation kernels (streaming PDN step,
-# batched SoA step, FFT block convolution) must stay allocation-free —
-# one allocation per cycle is the difference between the profiled ~50
-# ns/cycle and multiples of it. The benchmarks run under -benchmem and
-# any "N allocs/op" with N > 0 fails.
-go test -run NONE -bench 'BenchmarkStep$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$' \
+# its block form on one rail and on the coupled graph, batched SoA step,
+# FFT block convolution) must stay allocation-free. A heap allocation per
+# call adds garbage-collector work to every simulated cycle; the kernels
+# themselves cost ~700 ns/cycle for the streaming step on the bench host
+# and ~50 ns per sample for the FFT path. The benchmarks run under
+# -benchmem and any "N allocs/op" with N > 0 fails.
+go test -run NONE \
+    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$' \
     -benchtime 100x -benchmem ./internal/pdn ./internal/fft | tee /tmp/didt_allocgate.txt
 ! grep -E ' [1-9][0-9]* allocs/op' /tmp/didt_allocgate.txt
 

@@ -42,29 +42,27 @@ import (
 	"sort"
 	"time"
 
-	"didt/internal/control"
-	"didt/internal/core"
 	"didt/internal/experiments"
-	"didt/internal/pdn"
 	"didt/internal/sim"
 	"didt/internal/telemetry"
-	"didt/internal/workload"
 )
 
 var sweepIDs = []string{"table2", "fig14", "stressmark-actuation", "ablation-window"}
 
 // railsSweepIDs is the multi-rail cold sweep: per-rail emergency counts
-// across the benchmark set plus the per-rail threshold solve. It exercises
-// the rail-graph step path (sequential, never the lockstep batch), so its
-// timing tracks the multi-rail family's cost independently of the
-// single-rail sweeps above. Reported, not gated: the family is new and its
-// cost has no baseline contract yet.
-var railsSweepIDs = []string{"rails-emergencies", "rails-thresholds"}
+// across the benchmark set, the per-rail threshold solve, and the
+// closed-loop DVS study. The last exercises the rail-graph streaming path
+// (sequential, never the lockstep batch), so the sweep's timing tracks the
+// multi-rail family's cost independently of the single-rail sweeps above.
+// Reported, not gated: the family is new and its cost has no baseline
+// contract yet.
+var railsSweepIDs = []string{"rails-emergencies", "rails-thresholds", "rails-dvs"}
 
 // Report is the schema of BENCH_sweep.json.
 type Report struct {
 	GOMAXPROCS      int      `json:"gomaxprocs"`
 	NumCPU          int      `json:"num_cpu"`
+	GoVersion       string   `json:"go_version"`
 	Experiments     []string `json:"experiments"`
 	Repeat          int      `json:"repeat"`
 	RailsExps       []string `json:"rails_experiments"`
@@ -86,30 +84,6 @@ type Report struct {
 	GeneratedUnix int64                     `json:"generated_unix"`
 }
 
-func resetCaches() {
-	experiments.ResetMemo()
-	experiments.ResetRunCache()
-	workload.ResetProgramCache()
-	pdn.ResetKernelCache()
-	core.ResetEnvelopeCache()
-	core.ResetTraceCache()
-	control.ResetSolveCache()
-}
-
-// cacheStats gathers every shared cache's counters under stable names.
-func cacheStats() map[string]sim.CacheStats {
-	return map[string]sim.CacheStats{
-		"pdn_kernel":          pdn.KernelCacheStats(),
-		"workload_program":    workload.ProgramCacheStats(),
-		"workload_stressmark": workload.StressmarkCacheStats(),
-		"core_envelope":       core.EnvelopeCacheStats(),
-		"core_trace":          core.TraceCacheStats(),
-		"control_solve":       control.SolveCacheStats(),
-		"experiments_memo":    experiments.MemoStats(),
-		"experiments_run":     experiments.RunCacheStats(),
-	}
-}
-
 func runSet(cfg experiments.Config) error {
 	return runIDs(cfg, sweepIDs)
 }
@@ -127,7 +101,7 @@ func runIDs(cfg experiments.Config, ids []string) error {
 // timeRailsOnce runs the multi-rail sweep set cold and returns its wall
 // time.
 func timeRailsOnce(cfg experiments.Config) (time.Duration, error) {
-	resetCaches()
+	sim.ResetCaches()
 	start := time.Now()
 	if err := runIDs(cfg, railsSweepIDs); err != nil {
 		return 0, err
@@ -139,7 +113,7 @@ func timeRailsOnce(cfg experiments.Config) (time.Duration, error) {
 // every shared cache first unless the measurement wants them warm.
 func timeOnce(cfg experiments.Config, warm bool) (time.Duration, error) {
 	if !warm {
-		resetCaches()
+		sim.ResetCaches()
 	}
 	start := time.Now()
 	if err := runSet(cfg); err != nil {
@@ -328,7 +302,7 @@ func main() {
 		}
 		serialWarms = append(serialWarms, d)
 		if caches == nil {
-			caches = cacheStats()
+			caches = sim.AllCacheStats()
 		}
 		return nil
 	}
@@ -373,6 +347,7 @@ func main() {
 	rep := Report{
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		NumCPU:          runtime.NumCPU(),
+		GoVersion:       runtime.Version(),
 		Experiments:     sweepIDs,
 		RailsExps:       railsSweepIDs,
 		Repeat:          *repeat,

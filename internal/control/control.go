@@ -83,7 +83,7 @@ var solveCache = sim.NewCache[solveCacheKey, Thresholds](256)
 
 func init() {
 	solveCache.RegisterMetrics(telemetry.Default(), "cache.control_solve")
-	sim.RegisterCacheCapacity("control_solve", 256, solveCache.SetCapacity)
+	sim.RegisterCache("control_solve", 256, solveCache)
 }
 
 // SolveCacheStats reports the shared threshold-solve cache's

@@ -127,7 +127,13 @@ type System struct {
 
 	gating  cpu.Gating
 	phantom power.Phantom
-	act     cpu.Activity // per-cycle scratch for StepCycle (avoids a fresh zeroed copy per cycle)
+
+	// Block-driver scratch (see drive.go): each in-flight cycle's machine
+	// activity, load current, and voltage (rail 0's on a multi-rail
+	// system), reused so a step never zeroes a fresh copy.
+	acts [pdn.MaxBlock]cpu.Activity
+	cur  [pdn.MaxBlock]float64
+	volt [pdn.MaxBlock]float64
 
 	quietStreak uint64 // consecutive no-issue cycles (pessimistic ramp)
 	rampLeft    int
@@ -149,8 +155,8 @@ type System struct {
 	rails    []railState
 	railOf   [power.NumScopes]int // delivery scope -> owning rail index
 	scopeCur []float64            // per-cycle scratch: current by scope
-	railCur  []float64            // per-cycle scratch: current by rail
-	railVolt []float64            // per-cycle scratch: voltage by rail
+	railCur  []float64            // block scratch: current by rail, cycle-major
+	railVolt []float64            // block scratch: voltage by rail, cycle-major
 
 	// dvs, when non-nil, scales the machine's current draw by the schedule's
 	// operating point (set on both single- and multi-rail systems when the
@@ -337,24 +343,20 @@ type CycleState struct {
 	Done    bool
 }
 
-// StepCycle advances the loop one cycle.
+// StepCycle advances the loop one cycle: the block driver with a block of
+// one, so the voltage is computed before this cycle's control half runs.
 //
 //didt:hotpath
 func (s *System) StepCycle() CycleState {
-	if s.rails != nil {
-		return s.stepCycleMulti()
-	}
-	current, done := s.machineStep(&s.act)
-	v := s.Sim.Step(current)
-	return s.observe(&s.act, current, v, done)
+	return s.stepBlock(1)
 }
 
 // machineStep advances the machine half of the loop — actuator gating into
 // the core, core activity into the power model — and returns the cycle's
 // activity, load current and completion flag. The PDN convolution and
-// everything downstream of the voltage live in observe; RunBatch steps
-// many systems' machine halves against one batched convolver between the
-// two.
+// everything downstream of the voltage live in the driver's ingest and
+// control halves; RunBatch steps many systems' machine halves against one
+// batched convolver between the two.
 //
 //didt:hotpath
 func (s *System) machineStep(act *cpu.Activity) (float64, bool) {
@@ -367,13 +369,13 @@ func (s *System) machineStep(act *cpu.Activity) (float64, bool) {
 	return rep.Current, done
 }
 
-// observe ingests this cycle's voltage: statistics, traces, the sensor →
-// policy → responder control path, the pessimistic ramp, telemetry, and
-// the cycle counter. Exactly the post-convolution half of StepCycle.
+// ingest records cycle c's voltage on a single-rail system: statistics,
+// traces, and the sensor's delay line. It reads nothing the control half
+// writes, so the driver may run it after later cycles' control halves.
 //
 //didt:hotpath
-func (s *System) observe(act *cpu.Activity, current, v float64, done bool) CycleState {
-	if s.cycle >= s.spec.Budget.WarmupCycles {
+func (s *System) ingest(c uint64, current, v float64) {
+	if c >= s.spec.Budget.WarmupCycles {
 		if v < s.minV {
 			s.minV = v
 		}
@@ -389,64 +391,9 @@ func (s *System) observe(act *cpu.Activity, current, v float64, done bool) Cycle
 		s.curTr = append(s.curTr, current) //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
 		s.voltTr = append(s.voltTr, v)     //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
 	}
-
-	level := sensor.Normal
 	if s.spec.Control.Enabled {
-		level = s.Sensor.Sense(v)
-		lowBefore := s.policy.LowEvents
-		gate, phantom := s.policy.Update(level == sensor.Low, level == sensor.High)
-		g, p := s.responder.Respond(level)
-		if !gate {
-			g = cpu.Gating{}
-		}
-		if !phantom {
-			p = power.Phantom{}
-		}
-		s.gating, s.phantom = g, p
-		if s.spec.Control.FlushRecovery && s.policy.LowEvents > lowBefore {
-			s.CPU.Flush(s.CPU.Config().BranchPenalty)
-		}
+		s.Sensor.Push(v)
 	}
-
-	// Pessimistic ramp policy (Section 2.3's alternative to the greedy
-	// default): after a quiet spell, restart execution at half rate. The
-	// ramp's gating is recomputed every cycle on top of the controller's
-	// decision (or from scratch when no controller runs).
-	if s.spec.Control.PessimisticRamp > 0 {
-		if !s.spec.Control.Enabled {
-			s.gating = cpu.Gating{}
-		}
-		if act.Issued == 0 {
-			s.quietStreak++
-		} else {
-			if s.quietStreak >= 8 {
-				s.rampLeft = s.spec.Control.PessimisticRamp
-			}
-			s.quietStreak = 0
-		}
-		if s.rampLeft > 0 {
-			s.rampLeft--
-			if s.cycle%2 == 0 {
-				s.gating.FUs = true
-			}
-		}
-	}
-
-	if s.stream.Enabled() {
-		s.emitCycle(current, v, level)
-	}
-
-	st := CycleState{
-		Cycle:   s.cycle,
-		Current: current,
-		Voltage: v,
-		Level:   level,
-		Gating:  s.gating,
-		Phantom: s.phantom,
-		Done:    done,
-	}
-	s.cycle++
-	return st
 }
 
 // emitCycle records this cycle's telemetry: per-cycle voltage and current
@@ -499,7 +446,8 @@ func boolArg(b bool) int32 {
 // multiply-add per cycle. The FFT agrees with the streaming convolver to
 // <= 1e-9 V (see internal/pdn's property tests); anything that feeds the
 // voltage back (control, ramp, telemetry) stays on the streaming reference
-// path.
+// path, which the block driver advances up to pdn.MaxBlock cycles per PDN
+// pass (see drive.go) with results identical to stepping cycle by cycle.
 func (s *System) Run() (*Result, error) {
 	if s.openLoop() {
 		if s.rails != nil {
@@ -507,12 +455,7 @@ func (s *System) Run() (*Result, error) {
 		}
 		return s.runOpenLoop()
 	}
-	for s.cycle < s.spec.Budget.MaxCycles {
-		st := s.StepCycle()
-		if st.Done {
-			break
-		}
-	}
+	s.runLoop()
 	if err := s.CPU.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -1,0 +1,258 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"didt/internal/actuator"
+	"didt/internal/isa"
+	"didt/internal/pdn"
+	"didt/internal/spec"
+	"didt/internal/telemetry"
+)
+
+// The block driver's contract: Run — which advances up to pdn.MaxBlock
+// cycles per PDN pass — produces exactly the Result of stepping the same
+// system one cycle at a time. These tests compare every Result field with
+// ==, plus the sensors' trip counts (which also pin the noise stream), so
+// any drift in control ordering, noise-draw order or accumulation order
+// fails them.
+
+// stepwise runs sys to completion through StepCycle, one cycle per call.
+func stepwise(t *testing.T, sys *System) *Result {
+	t.Helper()
+	for sys.cycle < sys.spec.Budget.MaxCycles {
+		if sys.StepCycle().Done {
+			break
+		}
+	}
+	if err := sys.CPU.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return sys.finish(sys.CPU.Stats(), sys.Power.TotalEnergy())
+}
+
+// sensorTrips lists every sensor's (samples, low, high) counts.
+func sensorTrips(sys *System) [][3]uint64 {
+	var out [][3]uint64
+	if sys.Sensor != nil {
+		a, b, c := sys.Sensor.Trips()
+		out = append(out, [3]uint64{a, b, c})
+	}
+	for i := range sys.rails {
+		if sen := sys.rails[i].sensor; sen != nil {
+			a, b, c := sen.Trips()
+			out = append(out, [3]uint64{a, b, c})
+		}
+	}
+	return out
+}
+
+// resultDiff names the first Result field on which got and want differ,
+// or returns "" when they agree everywhere.
+func resultDiff(got, want *Result) string {
+	switch {
+	case got.Stats != want.Stats:
+		return fmt.Sprintf("Stats %+v vs %+v", got.Stats, want.Stats)
+	case got.Cycles != want.Cycles:
+		return fmt.Sprintf("Cycles %d vs %d", got.Cycles, want.Cycles)
+	case got.Energy != want.Energy || got.AvgPower != want.AvgPower:
+		return fmt.Sprintf("Energy/AvgPower %v/%v vs %v/%v", got.Energy, got.AvgPower, want.Energy, want.AvgPower)
+	case got.IMin != want.IMin || got.IMax != want.IMax || got.VNominal != want.VNominal:
+		return "envelope or VNominal"
+	case got.MinV != want.MinV || got.MaxV != want.MaxV:
+		return fmt.Sprintf("MinV/MaxV %v/%v vs %v/%v", got.MinV, got.MaxV, want.MinV, want.MaxV)
+	case got.Emergencies != want.Emergencies || got.EmergencyFreq != want.EmergencyFreq:
+		return fmt.Sprintf("Emergencies %d vs %d", got.Emergencies, want.Emergencies)
+	case got.Thresholds != want.Thresholds:
+		return fmt.Sprintf("Thresholds %+v vs %+v", got.Thresholds, want.Thresholds)
+	case got.LowEvents != want.LowEvents || got.HighEvents != want.HighEvents:
+		return fmt.Sprintf("Low/HighEvents %d/%d vs %d/%d", got.LowEvents, got.HighEvents, want.LowEvents, want.HighEvents)
+	case got.DVSStepDowns != want.DVSStepDowns || got.DVSStepUps != want.DVSStepUps:
+		return fmt.Sprintf("DVS steps %d/%d vs %d/%d", got.DVSStepDowns, got.DVSStepUps, want.DVSStepDowns, want.DVSStepUps)
+	case len(got.Rails) != len(want.Rails):
+		return fmt.Sprintf("%d rails vs %d", len(got.Rails), len(want.Rails))
+	case len(got.Hist.Counts) != len(want.Hist.Counts):
+		return "histogram shape"
+	case len(got.CurrentTrace) != len(want.CurrentTrace) || len(got.VoltageTrace) != len(want.VoltageTrace):
+		return "trace lengths"
+	}
+	for i := range got.Rails {
+		if got.Rails[i] != want.Rails[i] {
+			return fmt.Sprintf("rail %d: %+v vs %+v", i, got.Rails[i], want.Rails[i])
+		}
+	}
+	for i := range got.Hist.Counts {
+		if got.Hist.Counts[i] != want.Hist.Counts[i] {
+			return fmt.Sprintf("histogram bin %d: %d vs %d", i, got.Hist.Counts[i], want.Hist.Counts[i])
+		}
+	}
+	for i := range got.CurrentTrace {
+		if got.CurrentTrace[i] != want.CurrentTrace[i] || got.VoltageTrace[i] != want.VoltageTrace[i] {
+			return fmt.Sprintf("trace cycle %d", i)
+		}
+	}
+	return ""
+}
+
+// checkRunMatchesStepwise builds two identical systems, runs one through
+// Run and the other cycle by cycle, and compares the results and sensor
+// trips. It returns the Run result and the block length Run used.
+func checkRunMatchesStepwise(t *testing.T, name string, prog isa.Program, opts Options) (*Result, int) {
+	t.Helper()
+	blk, err := NewSystem(prog, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer blk.Close()
+	ref, err := NewSystem(prog, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer ref.Close()
+	b := blk.blockLen()
+	got, err := blk.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := stepwise(t, ref)
+	if d := resultDiff(got, want); d != "" {
+		t.Errorf("%s (B=%d): Run differs from the stepwise loop: %s", name, b, d)
+	}
+	gt, wt := sensorTrips(blk), sensorTrips(ref)
+	if fmt.Sprint(gt) != fmt.Sprint(wt) {
+		t.Errorf("%s (B=%d): sensor trips %v vs %v", name, b, gt, wt)
+	}
+	return got, b
+}
+
+// TestRunMatchesStepwiseAcrossDelays covers every sensor delay the paper
+// studies on the single-rail and the coupled three-rail system, with an
+// ideal and a 10 mV noisy sensor, and a budget that is not a multiple of
+// any block length so the last block is cut short.
+func TestRunMatchesStepwiseAcrossDelays(t *testing.T) {
+	prog := alternator(2000)
+	for delay := 0; delay <= 6; delay++ {
+		for _, noise := range []float64{0, 10} {
+			k := knobs{
+				ImpedancePct: 2.5, MaxCycles: 12_007, WarmupCycles: 2_000,
+				Control: true, Mechanism: actuator.FU.Name, Delay: delay, NoiseMV: noise, Seed: 7,
+			}
+			name := fmt.Sprintf("single delay=%d noise=%g", delay, noise)
+			res, b := checkRunMatchesStepwise(t, name, prog, k.options())
+			if want := min(delay+1, pdn.MaxBlock); b != want {
+				t.Errorf("%s: block length %d, want %d", name, b, want)
+			}
+			if delay == 2 && res.LowEvents+res.HighEvents == 0 {
+				t.Errorf("%s: controller never acted; the comparison proves little", name)
+			}
+			k.ImpedancePct = 3
+			checkRunMatchesStepwise(t, fmt.Sprintf("3-rail delay=%d noise=%g", delay, noise), prog, threeRailKnobs(k))
+		}
+	}
+}
+
+// TestRunMatchesStepwiseControlVariants covers flush recovery, the
+// pessimistic ramp with and without a controller (the latter at the full
+// block length), DVS on both spines, and trace recording.
+func TestRunMatchesStepwiseControlVariants(t *testing.T) {
+	prog := alternator(2000)
+	base := knobs{
+		ImpedancePct: 2.5, MaxCycles: 15_001, WarmupCycles: 2_000,
+		Control: true, Mechanism: actuator.FU.Name, Delay: 3, NoiseMV: 10, Seed: 3,
+	}
+
+	flush := base
+	flush.FlushRecovery = true
+	checkRunMatchesStepwise(t, "single flush", prog, flush.options())
+	checkRunMatchesStepwise(t, "3-rail flush", prog, threeRailKnobs(flush))
+
+	ramp := base.options()
+	ramp.Spec.Control.PessimisticRamp = 6
+	checkRunMatchesStepwise(t, "ramp with control", prog, ramp)
+
+	rampOnly := base
+	rampOnly.Control = false
+	o := rampOnly.options()
+	o.Spec.Control.PessimisticRamp = 6
+	if _, b := checkRunMatchesStepwise(t, "ramp without control", prog, o); b != pdn.MaxBlock {
+		t.Errorf("ramp without control: block length %d, want %d", b, pdn.MaxBlock)
+	}
+	o = threeRailKnobs(rampOnly)
+	o.Spec.Control.PessimisticRamp = 6
+	checkRunMatchesStepwise(t, "3-rail ramp without control", prog, o)
+
+	dvs := knobs{
+		ImpedancePct: 3, MaxCycles: 20_000, WarmupCycles: 2_000,
+		Control: true, Mechanism: actuator.FU.Name, Delay: 4,
+	}
+	o = dvs.options()
+	o.Spec.Actuator.DVS = &spec.DVSSpec{TransitionCycles: 5, HoldCycles: 400}
+	single, _ := checkRunMatchesStepwise(t, "single DVS", prog, o)
+	o = threeRailKnobs(dvs)
+	o.Spec.Actuator.DVS = &spec.DVSSpec{Steps: []float64{1, 0.95, 0.9}, TransitionCycles: 10, HoldCycles: 120, Rail: "core"}
+	multi, _ := checkRunMatchesStepwise(t, "3-rail DVS", prog, o)
+	if single.DVSStepDowns+multi.DVSStepDowns == 0 {
+		t.Error("no DVS schedule ever stepped; the DVS comparison proves little")
+	}
+
+	traced := base.options()
+	traced.RecordTraces = true
+	res, _ := checkRunMatchesStepwise(t, "single traces", prog, traced)
+	if len(res.VoltageTrace) != int(res.Cycles) {
+		t.Errorf("traced run recorded %d voltages for %d cycles", len(res.VoltageTrace), res.Cycles)
+	}
+	traced = threeRailKnobs(base)
+	traced.RecordTraces = true
+	checkRunMatchesStepwise(t, "3-rail traces", prog, traced)
+}
+
+// TestRunMatchesStepwiseRetiresMidBlock runs a program that retires well
+// inside the budget, at each block length, and requires that retirement
+// land mid-block for at least one of them — the driver must stop the
+// machine, convolve the partial block and finish its last control half.
+func TestRunMatchesStepwiseRetiresMidBlock(t *testing.T) {
+	prog := alternator(60)
+	midBlock := false
+	for delay := 0; delay < pdn.MaxBlock; delay++ {
+		k := knobs{
+			ImpedancePct: 2.5, MaxCycles: 1_000_000, WarmupCycles: 500,
+			Control: true, Mechanism: actuator.FU.Name, Delay: delay, NoiseMV: 10,
+		}
+		res, b := checkRunMatchesStepwise(t, fmt.Sprintf("retire delay=%d", delay), prog, k.options())
+		if res.Cycles >= k.MaxCycles {
+			t.Fatalf("delay %d: program did not retire within the budget", delay)
+		}
+		midBlock = midBlock || res.Cycles%uint64(b) != 0
+		k.ImpedancePct = 3
+		checkRunMatchesStepwise(t, fmt.Sprintf("3-rail retire delay=%d", delay), prog, threeRailKnobs(k))
+	}
+	if !midBlock {
+		t.Error("retirement never fell mid-block; pick a different program length")
+	}
+}
+
+// TestTelemetryStreamRunsOneCycleBlocks: a live cycle stream interleaves
+// each cycle's voltage with that cycle's control decision, so the driver
+// steps one cycle per block — and the result still equals the blocked
+// run without a stream.
+func TestTelemetryStreamRunsOneCycleBlocks(t *testing.T) {
+	k := knobs{
+		ImpedancePct: 2.5, MaxCycles: 10_001, WarmupCycles: 1_000,
+		Control: true, Mechanism: actuator.FU.Name, Delay: 4, NoiseMV: 10,
+	}
+	o := k.options()
+	o.Telemetry = telemetry.NewTracer(1 << 10)
+	o.TelemetryName = "drive"
+	traced, b := checkRunMatchesStepwise(t, "telemetry", alternator(2000), o)
+	if b != 1 {
+		t.Errorf("telemetry stream: block length %d, want 1", b)
+	}
+	plain, b := checkRunMatchesStepwise(t, "no telemetry", alternator(2000), k.options())
+	if b != pdn.MaxBlock {
+		t.Errorf("no telemetry: block length %d, want %d", b, pdn.MaxBlock)
+	}
+	if d := resultDiff(traced, plain); d != "" {
+		t.Errorf("telemetry changed the run: %s", d)
+	}
+}

@@ -41,7 +41,7 @@ var envelopeCache = sim.NewCache[envelopeKey, envelope](256)
 
 func init() {
 	envelopeCache.RegisterMetrics(telemetry.Default(), "cache.core_envelope")
-	sim.RegisterCacheCapacity("core_envelope", 256, envelopeCache.SetCapacity)
+	sim.RegisterCache("core_envelope", 256, envelopeCache)
 }
 
 // EnvelopeCacheStats reports the saturation-probe envelope cache's

@@ -17,9 +17,11 @@ import (
 // replaces its single Network/Simulator pair with a pdn.Graph — one
 // calibrated Network per delivery domain plus the cross-coupling matrix —
 // and the power model's per-cycle current is split across the rails by
-// delivery scope. The single-rail spine is untouched: a legacy spec never
-// enters this file, and the public System.Net/System.Sim fields point at
-// rail 0 so existing accessors keep working.
+// delivery scope. Both kinds of system run on the one block driver
+// (drive.go); this file supplies the multi-rail machine, ingest and
+// classification steps. A legacy spec never reaches them, and the public
+// System.Net/System.Sim fields point at rail 0 so existing accessors keep
+// working.
 
 // railState is one delivery domain's runtime state.
 type railState struct {
@@ -136,8 +138,8 @@ func newMultiRailSystem(s *System, sp spec.RunSpec, opts Options) (*System, erro
 	s.Net = rails[0].net
 	s.Sim = s.gsim.RailSim(0)
 	s.scopeCur = make([]float64, power.NumScopes)
-	s.railCur = make([]float64, len(rails))
-	s.railVolt = make([]float64, len(rails))
+	s.railCur = make([]float64, pdn.MaxBlock*len(rails))
+	s.railVolt = make([]float64, pdn.MaxBlock*len(rails))
 	for sc := power.Scope(0); sc < power.NumScopes; sc++ {
 		for i := range rails {
 			if rails[i].mask.Has(sc) {
@@ -249,29 +251,17 @@ func (s *System) machineStepMulti(act *cpu.Activity, railCur []float64) (float64
 	return rep.Current * scale, done
 }
 
-// stepCycleMulti is StepCycle on the rail graph: machine step, one coupled
-// graph step, then per-rail observation.
+// ingestMulti records cycle c's per-rail voltages: per-rail statistics,
+// the aggregate ones (the worst across rails, so single-number summaries
+// stay meaningful), traces, and each sensed rail's delay line.
 //
 //didt:hotpath
-func (s *System) stepCycleMulti() CycleState {
-	total, done := s.machineStepMulti(&s.act, s.railCur)
-	s.gsim.Step(s.railCur, s.railVolt)
-	return s.observeMulti(&s.act, total, done)
-}
-
-// observeMulti ingests one cycle's per-rail voltages: per-rail statistics
-// and sensing, the aggregate control decision (any rail low gates, else
-// any rail high phantom-fires), the DVS schedule, telemetry and the cycle
-// counter. The aggregate min/max/emergency statistics are the worst across
-// rails, so single-number summaries stay meaningful.
-//
-//didt:hotpath
-func (s *System) observeMulti(act *cpu.Activity, total float64, done bool) CycleState {
-	if s.cycle >= s.spec.Budget.WarmupCycles {
+func (s *System) ingestMulti(c uint64, total float64, volts []float64) {
+	if c >= s.spec.Budget.WarmupCycles {
 		anyEmerg := false
 		for i := range s.rails {
 			r := &s.rails[i]
-			v := s.railVolt[i]
+			v := volts[i]
 			if v < r.minV {
 				r.minV = v
 			}
@@ -295,91 +285,52 @@ func (s *System) observeMulti(act *cpu.Activity, total float64, done bool) Cycle
 		}
 	}
 	if s.opts.RecordTraces {
-		s.curTr = append(s.curTr, total)           //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
-		s.voltTr = append(s.voltTr, s.railVolt[0]) //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
+		s.curTr = append(s.curTr, total)      //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
+		s.voltTr = append(s.voltTr, volts[0]) //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
 	}
-
-	level := sensor.Normal
 	if s.spec.Control.Enabled {
-		anyLow, anyHigh := false, false
 		for i := range s.rails {
-			r := &s.rails[i]
-			if r.sensor == nil {
-				r.level = sensor.Normal
-				continue
+			if sen := s.rails[i].sensor; sen != nil {
+				sen.Push(volts[i])
 			}
-			r.level = r.sensor.Sense(s.railVolt[i])
-			if r.level == sensor.Low {
-				anyLow = true
-			} else if r.level == sensor.High {
-				anyHigh = true
-			}
-		}
-		// Undervolt wins: gating beats phantom firing when rails disagree.
-		if anyLow {
-			level = sensor.Low
-		} else if anyHigh {
-			level = sensor.High
-		}
-		if s.dvs != nil {
-			drive := level
-			if s.dvsRail >= 0 {
-				drive = s.rails[s.dvsRail].level
-			}
-			s.dvs.Observe(drive)
-		}
-		lowBefore := s.policy.LowEvents
-		gate, phantom := s.policy.Update(anyLow, anyHigh)
-		g, p := s.responder.Respond(level)
-		if !gate {
-			g = cpu.Gating{}
-		}
-		if !phantom {
-			p = power.Phantom{}
-		}
-		s.gating, s.phantom = g, p
-		if s.spec.Control.FlushRecovery && s.policy.LowEvents > lowBefore {
-			s.CPU.Flush(s.CPU.Config().BranchPenalty)
 		}
 	}
+}
 
-	if s.spec.Control.PessimisticRamp > 0 {
-		if !s.spec.Control.Enabled {
-			s.gating = cpu.Gating{}
+// classifyRails is the multi-rail sensing step of the control half: every
+// sensed rail's level lead cycles ahead of its newest sample, the
+// aggregate (undervolt wins: gating beats phantom firing when rails
+// disagree), and the DVS schedule advanced from its bound rail's level or
+// the aggregate.
+//
+//didt:hotpath
+func (s *System) classifyRails(lead int) (level sensor.Level, anyLow, anyHigh bool) {
+	for i := range s.rails {
+		r := &s.rails[i]
+		if r.sensor == nil {
+			r.level = sensor.Normal
+			continue
 		}
-		if act.Issued == 0 {
-			s.quietStreak++
-		} else {
-			if s.quietStreak >= 8 {
-				s.rampLeft = s.spec.Control.PessimisticRamp
-			}
-			s.quietStreak = 0
-		}
-		if s.rampLeft > 0 {
-			s.rampLeft--
-			if s.cycle%2 == 0 {
-				s.gating.FUs = true
-			}
+		r.level = r.sensor.Classify(lead)
+		if r.level == sensor.Low {
+			anyLow = true
+		} else if r.level == sensor.High {
+			anyHigh = true
 		}
 	}
-
-	if s.stream.Enabled() {
-		// Telemetry narrates rail 0 (the primary domain); per-rail streams
-		// are future work.
-		s.emitCycle(total, s.railVolt[0], level)
+	if anyLow {
+		level = sensor.Low
+	} else if anyHigh {
+		level = sensor.High
 	}
-
-	st := CycleState{
-		Cycle:   s.cycle,
-		Current: total,
-		Voltage: s.railVolt[0],
-		Level:   level,
-		Gating:  s.gating,
-		Phantom: s.phantom,
-		Done:    done,
+	if s.dvs != nil {
+		drive := level
+		if s.dvsRail >= 0 {
+			drive = s.rails[s.dvsRail].level
+		}
+		s.dvs.Observe(drive)
 	}
-	s.cycle++
-	return st
+	return level, anyLow, anyHigh
 }
 
 // runOpenLoopMulti is the open-loop fast path on the rail graph: step the

@@ -42,7 +42,7 @@ var traceCache = sim.NewCache[machineKey, *machineRun](16)
 
 func init() {
 	traceCache.RegisterMetrics(telemetry.Default(), "cache.core_trace")
-	sim.RegisterCacheCapacity("core_trace", 16, traceCache.SetCapacity)
+	sim.RegisterCache("core_trace", 16, traceCache)
 }
 
 // TraceCacheStats reports the machine-trace cache's effectiveness.
@@ -93,7 +93,7 @@ func (s *System) stepMachine() (*machineRun, error) {
 
 // runOpenLoop is the fast path: machine trace (possibly cached), one block
 // convolution, then a statistics replay in cycle order. The replay applies
-// the same per-cycle updates as observe does on the streaming path, so the
+// the same per-cycle updates as ingest does on the streaming path, so the
 // only difference in the result is FFT round-off (<= 1e-9 V).
 func (s *System) runOpenLoop() (*Result, error) {
 	mr, err := s.machineTrace()
@@ -185,7 +185,7 @@ func RunBatch(systems []*System) ([]*Result, error) {
 		// Once the batch is mostly drained, one fixed w-wide kernel step
 		// costs more than stepping the survivors' own streaming simulators,
 		// so hand each survivor its lane's ring state and let it finish on
-		// the per-run path (bit-identical — see ExtractLane).
+		// the per-run block driver (bit-identical — see ExtractLane).
 		if 2*remaining <= w {
 			break
 		}
@@ -201,7 +201,8 @@ func RunBatch(systems []*System) ([]*Result, error) {
 			if finished[l] {
 				continue
 			}
-			st := s.observe(&acts[l], currents[l], volts[l], dones[l])
+			s.ingest(s.cycle, currents[l], volts[l])
+			st := s.endCycle(&acts[l], currents[l], volts[l], dones[l])
 			if st.Done || s.cycle >= s.spec.Budget.MaxCycles {
 				finished[l] = true
 				remaining--
@@ -213,11 +214,7 @@ func RunBatch(systems []*System) ([]*Result, error) {
 			continue
 		}
 		batch.ExtractLane(l, s.Sim)
-		for s.cycle < s.spec.Budget.MaxCycles {
-			if st := s.StepCycle(); st.Done {
-				break
-			}
-		}
+		s.runLoop()
 	}
 	results := make([]*Result, w)
 	for l, s := range systems {

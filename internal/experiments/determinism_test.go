@@ -5,10 +5,8 @@ import (
 	"context"
 	"testing"
 
-	"didt/internal/core"
-	"didt/internal/pdn"
+	"didt/internal/sim"
 	"didt/internal/telemetry"
-	"didt/internal/workload"
 )
 
 // tinyConfig keeps the determinism comparison fast enough to run under
@@ -23,12 +21,21 @@ func tinyConfig() Config {
 	}
 }
 
-func resetAllCaches() {
-	ResetMemo()
-	ResetRunCache()
-	workload.ResetProgramCache()
-	pdn.ResetKernelCache()
-	core.ResetEnvelopeCache()
+func resetAllCaches() { sim.ResetCaches() }
+
+// TestEveryCacheResettable: every cache with a capacity tunable is also in
+// the reset registry, so resetAllCaches — and every benchmark's "cold"
+// iteration — really starts cold.
+func TestEveryCacheResettable(t *testing.T) {
+	stats := sim.AllCacheStats()
+	for _, name := range sim.CacheCapacityNames() {
+		if _, ok := stats[name]; !ok {
+			t.Errorf("cache %q has a capacity tunable but no reset registration", name)
+		}
+	}
+	if len(stats) < 8 {
+		t.Errorf("only %d caches registered for reset", len(stats))
+	}
 }
 
 // TestParallelOutputIdentical is the correctness contract of the sweep

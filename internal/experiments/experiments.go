@@ -281,7 +281,7 @@ var memo = sim.NewCache[string, interface{}](256)
 
 func init() {
 	memo.RegisterMetrics(telemetry.Default(), "cache.experiments_memo")
-	sim.RegisterCacheCapacity("experiments_memo", 256, memo.SetCapacity)
+	sim.RegisterCache("experiments_memo", 256, memo)
 }
 
 // ResetMemo drops every cached study. Benchmarks and determinism tests use

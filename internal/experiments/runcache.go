@@ -25,7 +25,7 @@ var runCache = sim.NewCache[string, *core.Result](512)
 
 func init() {
 	runCache.RegisterMetrics(telemetry.Default(), "cache.experiments_run")
-	sim.RegisterCacheCapacity("experiments_run", 512, runCache.SetCapacity)
+	sim.RegisterCache("experiments_run", 512, runCache)
 }
 
 // RunCacheStats reports the shared full-run cache's effectiveness.

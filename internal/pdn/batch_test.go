@@ -22,7 +22,7 @@ func TestPeekMatchesNaiveReference(t *testing.T) {
 		for i := 1; i < len(k); i++ {
 			idx := sim.pos - i
 			if idx < 0 {
-				idx += len(sim.hist)
+				idx += ringLen(len(k))
 			}
 			drop += k[i] * sim.hist[idx]
 		}

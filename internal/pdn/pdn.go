@@ -115,7 +115,7 @@ var kernelCache = sim.NewCache[string, sampled](512)
 
 func init() {
 	kernelCache.RegisterMetrics(telemetry.Default(), "cache.pdn_kernel")
-	sim.RegisterCacheCapacity("pdn_kernel", 512, kernelCache.SetCapacity)
+	sim.RegisterCache("pdn_kernel", 512, kernelCache)
 }
 
 // ResetKernelCache empties the shared impulse-response cache (benchmarks
@@ -293,10 +293,17 @@ func (n *Network) WorstCaseDeviation(iMin, iMax float64) float64 {
 
 // Simulator carries the mutable streaming-convolution state for one run.
 // It is not safe for concurrent use; create one per goroutine.
+//
+// The history is a mirrored ring (see block.go): slot t mod ringLen holds
+// the deviation written at cycle t, the ring carries MaxBlock-1 slots of
+// slack beyond the kernel length so a block of new samples never
+// overwrites a tap an earlier output of the same block still reads, and
+// its first MaxBlock-1 slots are repeated past the end so every block's
+// window of consecutive samples is one contiguous slice.
 type Simulator struct {
 	net  *Network
-	hist []float64 // ring buffer of past current deviations (I - IFloor)
-	pos  int       // next write index
+	hist []float64 // mirrored ring of past current deviations (I - IFloor)
+	pos  int       // slot of the next sample
 	n    int       // cycles processed
 }
 
@@ -305,13 +312,14 @@ type Simulator struct {
 // across runs via the network's pool; call Release when done with a
 // simulator to return its buffer.
 func (n *Network) NewSimulator() *Simulator {
-	if h, ok := n.simPool.Get().([]float64); ok && len(h) == len(n.kernel) {
+	size := mirroredLen(len(n.kernel))
+	if h, ok := n.simPool.Get().([]float64); ok && len(h) == size {
 		for i := range h {
 			h[i] = 0
 		}
 		return &Simulator{net: n, hist: h}
 	}
-	return &Simulator{net: n, hist: make([]float64, len(n.kernel))}
+	return &Simulator{net: n, hist: make([]float64, size)}
 }
 
 // Release returns the simulator's history buffer to the network's pool.
@@ -325,26 +333,16 @@ func (s *Simulator) Release() {
 }
 
 // Step advances one CPU cycle with the given load current (amperes) and
-// returns the supply voltage at this cycle.
-//
-// This is the hottest loop in the repository (kernel-length multiply-adds
-// per simulated cycle), so the ring-buffer walk is split into its two
-// contiguous halves instead of testing for wrap every tap. The summation
-// order is unchanged — newest sample first — so results stay bit-identical
-// to the naive loop.
+// returns the supply voltage at this cycle. It is StepBlock with a block
+// of one: the same kernel, so a run stepped cycle by cycle and one stepped
+// in blocks produce the same bits.
 //
 //didt:hotpath
 func (s *Simulator) Step(current float64) float64 {
-	k := s.net.kernel
-	h := s.hist
-	h[s.pos] = current - s.net.params.IFloor
-	drop := dotRing(0, k, h, 0, s.pos)
-	s.pos++
-	if s.pos == len(h) {
-		s.pos = 0
-	}
-	s.n++
-	return s.net.params.VNominal - drop
+	in := [1]float64{current}
+	var out [1]float64
+	s.StepBlock(in[:], out[:])
+	return out[0]
 }
 
 // Peek returns the voltage that would result if the given current were
@@ -354,7 +352,7 @@ func (s *Simulator) Step(current float64) float64 {
 //didt:hotpath
 func (s *Simulator) Peek(current float64) float64 {
 	k := s.net.kernel
-	h := s.hist
+	h := s.hist[:ringLen(len(k))]
 	drop := dotRing(k[0]*(current-s.net.params.IFloor), k, h, 1, s.pos-1)
 	return s.net.params.VNominal - drop
 }
@@ -364,7 +362,8 @@ func (s *Simulator) Peek(current float64) float64 {
 // multiplies), wrapping once at the start. The walk is split into its two
 // contiguous halves instead of testing for wrap every tap; the summation
 // order — ascending kernel index, i.e. newest sample first — is the
-// bit-exactness contract Step, Peek and BatchSimulator all share.
+// bit-exactness contract Step, StepBlock, Peek and BatchSimulator all
+// share.
 //
 //didt:hotpath
 func dotRing(acc float64, k, h []float64, i, idx int) float64 {
@@ -576,17 +575,23 @@ func (b *BatchSimulator) step4(volts []float64) {
 }
 
 // ExtractLane copies lane l's ring state into dst, a Simulator on the
-// same Network. Both layouts index history by the same slot sequence (slot
-// = cycle mod kernel length, identical write position and walk order), so
-// after the copy, stepping dst continues lane l's voltage sequence
-// bit-identically — the only difference between the two is storage stride.
-// RunBatch uses this to let a nearly drained batch finish its last lanes
-// on the cheaper per-run path.
+// same Network. The batch ring holds cycle t's deviation in slot t mod
+// kernel length, the Simulator's mirrored ring in slot t mod ringLen; the
+// copy moves the last kernel-length samples — every tap a future output
+// reads — to their slots in the new layout, so stepping dst continues lane
+// l's voltage sequence bit-identically. RunBatch uses this to let a nearly
+// drained batch finish its last lanes on the cheaper per-run path.
 func (b *BatchSimulator) ExtractLane(l int, dst *Simulator) {
 	for i := range dst.hist {
-		dst.hist[i] = b.hist[i*b.w+l]
+		dst.hist[i] = 0
 	}
-	dst.pos = b.pos
+	k := len(b.net.kernel)
+	ring := ringLen(k)
+	// Cycles before 0 are quiescent: their slots stay zero.
+	for t := max(b.n-k, 0); t < b.n; t++ {
+		dst.put(t%ring, b.hist[(t%k)*b.w+l])
+	}
+	dst.pos = b.n % ring
 	dst.n = b.n
 }
 

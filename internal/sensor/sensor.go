@@ -96,19 +96,41 @@ func (s *Sensor) Delay() int { return s.delay }
 // Sense pushes this cycle's true voltage into the delay line and returns
 // the level of the reading the sensor can see now (the voltage from Delay
 // cycles ago, perturbed by measurement noise). Before the line fills, the
-// sensor reports Normal — the paper's systems power up quiescent.
+// sensor reports Normal — the paper's systems power up quiescent. It is
+// Push followed by Classify(0).
 //
 //didt:hotpath
 func (s *Sensor) Sense(v float64) Level {
+	s.Push(v)
+	return s.Classify(0)
+}
+
+// Push records this cycle's true voltage in the delay line without
+// classifying anything: no noise draw, no trip count.
+//
+//didt:hotpath
+func (s *Sensor) Push(v float64) {
 	copy(s.line[1:], s.line)
 	s.line[0] = v
 	if s.filled < len(s.line) {
 		s.filled++
-		if s.filled < len(s.line) {
-			return Normal
-		}
 	}
-	reading := s.line[s.delay]
+}
+
+// Classify returns the level the sensor reports lead cycles after the
+// newest pushed sample, 0 <= lead <= Delay(): the reading of the voltage
+// pushed Delay()-lead cycles before it. Because the sensor sees the supply
+// Delay cycles late, the level of cycle m is known once cycle m-Delay's
+// voltage is, so a caller may classify up to Delay cycles ahead of its
+// pushes. Classification draws the noise and counts trips, so calls must
+// come in cycle order, exactly one per cycle; Sense is the lead-0 case.
+//
+//didt:hotpath
+func (s *Sensor) Classify(lead int) Level {
+	if s.filled+lead < len(s.line) {
+		return Normal
+	}
+	reading := s.line[s.delay-lead]
 	if s.noise > 0 {
 		reading += (2*s.rng.Float64() - 1) * s.noise
 	}

@@ -141,3 +141,55 @@ func TestLevelString(t *testing.T) {
 		t.Error("level names")
 	}
 }
+
+// TestClassifyAheadMatchesSense drives one sensor cycle by cycle through
+// Sense and a twin the way the closed loop's block driver does — classify
+// the first B-1 cycles of a block ahead of their pushes (lead 1..B-1),
+// push the block, classify the last cycle at lead 0 — and requires the
+// same level on every cycle, the same noise stream and the same trip
+// counts, for every delay the paper studies, with and without noise.
+func TestClassifyAheadMatchesSense(t *testing.T) {
+	for delay := 0; delay <= 6; delay++ {
+		for _, noise := range []float64{0, 0.01} {
+			ref := mustSensorSeed(t, delay, noise, int64(delay))
+			blk := mustSensorSeed(t, delay, noise, int64(delay))
+			b := delay + 1
+			volts := make([]float64, b)
+			for m := 0; m < 400; m += b {
+				for j := range volts {
+					volts[j] = 0.95 + 0.1*float64((m+j)*7%23)/22
+				}
+				got := make([]Level, b)
+				for j := 0; j < b-1; j++ {
+					got[j] = blk.Classify(j + 1)
+				}
+				for _, v := range volts {
+					blk.Push(v)
+				}
+				got[b-1] = blk.Classify(0)
+				for j, v := range volts {
+					if want := ref.Sense(v); got[j] != want {
+						t.Fatalf("delay %d noise %g cycle %d: block %v, sense %v", delay, noise, m+j, got[j], want)
+					}
+				}
+			}
+			rs, rl, rh := ref.Trips()
+			bs, bl, bh := blk.Trips()
+			if rs != bs || rl != bl || rh != bh {
+				t.Errorf("delay %d noise %g: trips %d/%d/%d vs %d/%d/%d", delay, noise, bs, bl, bh, rs, rl, rh)
+			}
+		}
+	}
+}
+
+func mustSensorSeed(t *testing.T, delay int, noise float64, seed int64) *Sensor {
+	t.Helper()
+	s, err := New(delay, noise, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetThresholds(0.97, 1.03); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

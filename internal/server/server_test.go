@@ -13,11 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"didt/internal/core"
 	"didt/internal/experiments"
-	"didt/internal/pdn"
+	"didt/internal/sim"
 	"didt/internal/telemetry"
-	"didt/internal/workload"
 )
 
 // tinySweep is a cheap sweep configuration shared by the integration
@@ -39,12 +37,7 @@ func tinyConfig() experiments.Config {
 // resetAllCaches drops every process-wide memo so each render genuinely
 // recomputes (the byte-identity test must exercise the parallel path, not
 // replay cached results).
-func resetAllCaches() {
-	experiments.ResetMemo()
-	workload.ResetProgramCache()
-	pdn.ResetKernelCache()
-	core.ResetEnvelopeCache()
-}
+func resetAllCaches() { sim.ResetCaches() }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()

@@ -19,6 +19,7 @@ var capReg struct {
 	defaults  map[string]int
 	overrides map[string]int
 	hooks     map[string]func(int)
+	managed   map[string]ManagedCache // caches registered through RegisterCache
 }
 
 func capRegLocked() {
@@ -26,7 +27,65 @@ func capRegLocked() {
 		capReg.defaults = map[string]int{}
 		capReg.overrides = map[string]int{}
 		capReg.hooks = map[string]func(int){}
+		capReg.managed = map[string]ManagedCache{}
 	}
+}
+
+// ManagedCache is what the registry needs of a cache to size, empty and
+// observe it; *Cache satisfies it.
+type ManagedCache interface {
+	SetCapacity(n int)
+	Reset()
+	Stats() CacheStats
+}
+
+// RegisterCache declares a named process-wide cache to the registry: its
+// capacity becomes a tunable exactly as with RegisterCacheCapacity (whose
+// effective value it returns), and ResetCaches and AllCacheStats cover it
+// from then on. This is the one list of engine caches — benchmarks, tests
+// and tools reset and report through it rather than naming caches by hand,
+// so a cache added later cannot be left warm in a "cold" measurement.
+func RegisterCache(name string, def int, c ManagedCache) int {
+	eff := RegisterCacheCapacity(name, def, c.SetCapacity)
+	capReg.mu.Lock()
+	capReg.managed[name] = c
+	capReg.mu.Unlock()
+	return eff
+}
+
+// managedCaches snapshots the RegisterCache entries in name order.
+func managedCaches() ([]string, []ManagedCache) {
+	capReg.mu.Lock()
+	defer capReg.mu.Unlock()
+	capRegLocked()
+	names := make([]string, 0, len(capReg.managed))
+	for name := range capReg.managed {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	caches := make([]ManagedCache, len(names))
+	for i, name := range names {
+		caches[i] = capReg.managed[name]
+	}
+	return names, caches
+}
+
+// ResetCaches empties every cache registered through RegisterCache.
+func ResetCaches() {
+	_, caches := managedCaches()
+	for _, c := range caches {
+		c.Reset()
+	}
+}
+
+// AllCacheStats reports every RegisterCache cache's counters by name.
+func AllCacheStats() map[string]CacheStats {
+	names, caches := managedCaches()
+	out := make(map[string]CacheStats, len(names))
+	for i, name := range names {
+		out[name] = caches[i].Stats()
+	}
+	return out
 }
 
 // RegisterCacheCapacity declares a named tunable cache with the given

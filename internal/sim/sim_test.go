@@ -558,3 +558,28 @@ func TestMapJobErrorSurvivesSlowJoin(t *testing.T) {
 		t.Fatal("failing job never ran")
 	}
 }
+
+// TestRegisterCacheResetAndStats: a cache registered through RegisterCache
+// is a capacity tunable, is emptied by ResetCaches, and reports its
+// counters through AllCacheStats under its name.
+func TestRegisterCacheResetAndStats(t *testing.T) {
+	c := NewCache[string, int](8)
+	if got := RegisterCache("test_registry", 4, c); got != 4 {
+		t.Fatalf("effective capacity %d, want 4", got)
+	}
+	if capacity, ok := CacheCapacity("test_registry"); !ok || capacity != 4 {
+		t.Fatalf("CacheCapacity = %d, %v", capacity, ok)
+	}
+	c.Put("a", 1)
+	if _, ok := c.Lookup("a"); !ok {
+		t.Fatal("lookup after put missed")
+	}
+	st, ok := AllCacheStats()["test_registry"]
+	if !ok || st.Hits != 1 {
+		t.Fatalf("AllCacheStats entry %+v (present %v), want one hit", st, ok)
+	}
+	ResetCaches()
+	if c.Len() != 0 {
+		t.Errorf("ResetCaches left %d entries", c.Len())
+	}
+}

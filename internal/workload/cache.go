@@ -24,8 +24,8 @@ var (
 func init() {
 	programCache.RegisterMetrics(telemetry.Default(), "cache.workload_program")
 	stressmarkCache.RegisterMetrics(telemetry.Default(), "cache.workload_stressmark")
-	sim.RegisterCacheCapacity("workload_program", 256, programCache.SetCapacity)
-	sim.RegisterCacheCapacity("workload_stressmark", 128, stressmarkCache.SetCapacity)
+	sim.RegisterCache("workload_program", 256, programCache)
+	sim.RegisterCache("workload_stressmark", 128, stressmarkCache)
 }
 
 // ProgramCacheStats reports the benchmark-program cache's effectiveness.
