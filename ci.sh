@@ -68,12 +68,21 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 
 # Multi-rail smoke test under the race detector: the rail-graph family's
 # rendered bytes identical at parallel 1 and 8, the multi-rail core
-# (sequential RunBatch fallback, per-rail sensing, DVS composition) clean
-# under race, and the block driver's equivalence tests — Run equal (==)
-# to a cycle-by-cycle StepCycle loop on every Result field, single- and
-# multi-rail, at every sensor delay.
-go test -race -count=1 -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise' \
-    ./internal/experiments ./internal/core
+# (per-rail sensing, DVS composition) clean under race, and the exactness
+# contract of the PDN's modal recursion — Run (modal, exact only near a
+# decision edge) equal (==) to a cycle-by-cycle exact StepCycle loop on
+# every Result field, single- and multi-rail, at every sensor delay, with
+# thresholds pinned on observed voltages; the solver's 175-point threshold
+# golden and its edge-placement test; and the modal fuzz target's
+# committed corpus.
+go test -race -count=1 \
+    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
+    ./internal/experiments ./internal/core ./internal/control ./internal/pdn
+
+# Modal fuzzing: random networks and current traces; every modal estimate
+# must lie within its error bound of the exact voltage (or the network
+# must have declined the modal form).
+go test -run NONE -fuzz FuzzModalMatchesExact -fuzztime=10s ./internal/pdn
 
 # Result-store smoke test under the race detector: concurrent identical
 # requests cost exactly one engine run (wire singleflight), a restarted
@@ -85,15 +94,17 @@ go test -race -count=1 \
     ./internal/server ./internal/store
 
 # Allocation gate: the per-cycle simulation kernels (streaming PDN step,
-# its block form on one rail and on the coupled graph, batched SoA step,
-# FFT block convolution) must stay allocation-free. A heap allocation per
-# call adds garbage-collector work to every simulated cycle; the kernels
-# themselves cost ~700 ns/cycle for the streaming step on the bench host
-# and ~50 ns per sample for the FFT path. The benchmarks run under
-# -benchmem and any "N allocs/op" with N > 0 fails.
+# its block form on one rail and on the coupled graph, the modal block
+# step, batched SoA step, FFT block convolution, and the threshold
+# solver's probe cycle loop) must stay allocation-free. A heap allocation
+# per call adds garbage-collector work to every simulated cycle; the
+# kernels themselves cost ~700 ns/cycle for the exact streaming step on
+# the bench host, ~15 ns/cycle for the modal step and ~50 ns per sample
+# for the FFT path. The benchmarks run under -benchmem and any
+# "N allocs/op" with N > 0 fails.
 go test -run NONE \
-    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$' \
-    -benchtime 100x -benchmem ./internal/pdn ./internal/fft | tee /tmp/didt_allocgate.txt
+    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkStepModal$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$|BenchmarkProbeViolations$' \
+    -benchtime 100x -benchmem ./internal/pdn ./internal/fft ./internal/control | tee /tmp/didt_allocgate.txt
 ! grep -E ' [1-9][0-9]* allocs/op' /tmp/didt_allocgate.txt
 
 # Perf gate: the telemetry-off hot path (a disabled cycle tracer attached

@@ -51,37 +51,33 @@ var sweepIDs = []string{"table2", "fig14", "stressmark-actuation", "ablation-win
 
 // railsSweepIDs is the multi-rail cold sweep: per-rail emergency counts
 // across the benchmark set, the per-rail threshold solve, and the
-// closed-loop DVS study. The last exercises the rail-graph streaming path
-// (sequential, never the lockstep batch), so the sweep's timing tracks the
-// multi-rail family's cost independently of the single-rail sweeps above.
+// closed-loop DVS study. The last exercises the rail-graph streaming path,
+// so the sweep's timing tracks the multi-rail family's cost independently
+// of the single-rail sweeps above.
 // Reported, not gated: the family is new and its cost has no baseline
 // contract yet.
 var railsSweepIDs = []string{"rails-emergencies", "rails-thresholds", "rails-dvs"}
 
 // Report is the schema of BENCH_sweep.json.
 type Report struct {
-	GOMAXPROCS      int      `json:"gomaxprocs"`
-	NumCPU          int      `json:"num_cpu"`
-	GoVersion       string   `json:"go_version"`
-	Experiments     []string `json:"experiments"`
-	Repeat          int      `json:"repeat"`
-	RailsExps       []string `json:"rails_experiments"`
-	SerialColdNs    int64    `json:"serial_cold_ns_per_op"`
-	MultiRailColdNs int64    `json:"multirail_cold_ns_per_op"`
-	ParallelNs      int64    `json:"parallel_cold_ns_per_op"`
-	SerialWarmNs    int64    `json:"serial_warm_ns_per_op"`
-	TelemetryOffNs  int64    `json:"telemetry_off_ns_per_op"`
-	SpansOffNs      int64    `json:"spans_off_ns_per_op"`
-	Speedup         float64  `json:"parallel_speedup"`
-	CacheSpeedup    float64  `json:"warm_cache_speedup"`
-	TelemetryOffPct float64  `json:"telemetry_off_overhead_pct"`
-	SpansOffPct     float64  `json:"spans_off_overhead_pct"`
-	// ColdSpeedup compares this run's serial cold time against the
-	// baseline report it replaces (the previous BENCH_sweep.json); zero
-	// when no prior baseline was readable.
-	ColdSpeedup   float64                   `json:"cold_speedup_vs_baseline"`
-	Caches        map[string]sim.CacheStats `json:"caches"`
-	GeneratedUnix int64                     `json:"generated_unix"`
+	GOMAXPROCS      int                       `json:"gomaxprocs"`
+	NumCPU          int                       `json:"num_cpu"`
+	GoVersion       string                    `json:"go_version"`
+	Experiments     []string                  `json:"experiments"`
+	Repeat          int                       `json:"repeat"`
+	RailsExps       []string                  `json:"rails_experiments"`
+	SerialColdNs    int64                     `json:"serial_cold_ns_per_op"`
+	MultiRailColdNs int64                     `json:"multirail_cold_ns_per_op"`
+	ParallelNs      int64                     `json:"parallel_cold_ns_per_op"`
+	SerialWarmNs    int64                     `json:"serial_warm_ns_per_op"`
+	TelemetryOffNs  int64                     `json:"telemetry_off_ns_per_op"`
+	SpansOffNs      int64                     `json:"spans_off_ns_per_op"`
+	Speedup         float64                   `json:"parallel_speedup"`
+	CacheSpeedup    float64                   `json:"warm_cache_speedup"`
+	TelemetryOffPct float64                   `json:"telemetry_off_overhead_pct"`
+	SpansOffPct     float64                   `json:"spans_off_overhead_pct"`
+	Caches          map[string]sim.CacheStats `json:"caches"`
+	GeneratedUnix   int64                     `json:"generated_unix"`
 }
 
 func runSet(cfg experiments.Config) error {
@@ -267,13 +263,6 @@ func main() {
 		return
 	}
 
-	// Keep the previous report (if any) around as the baseline the new
-	// serial cold time is compared against.
-	var prior Report
-	if raw, err := os.ReadFile(*out); err == nil {
-		_ = json.Unmarshal(raw, &prior)
-	}
-
 	cfg := benchConfig()
 	serialCfg := cfg
 	serialCfg.Parallel = 1
@@ -363,9 +352,6 @@ func main() {
 		SpansOffPct:     100 * (float64(spansOff)/float64(serialCold) - 1),
 		Caches:          caches,
 		GeneratedUnix:   time.Now().Unix(),
-	}
-	if prior.SerialColdNs > 0 {
-		rep.ColdSpeedup = float64(prior.SerialColdNs) / float64(serialCold.Nanoseconds())
 	}
 
 	f, err := os.Create(*out)

@@ -16,7 +16,7 @@ type PurityRoot struct {
 }
 
 // defaultPurityRoots are the contract's entry points on the real tree:
-// the per-cycle kernel, the batched kernel, the PDN convolver, the memo
+// the per-cycle kernel, the multi-run entry point, the PDN convolver, the memo
 // key, the experiment table (whose runner functions enter the graph
 // through value-reference edges), and the result-store entry codec — a
 // stored entry must be a pure function of (key, body) or byte-identical

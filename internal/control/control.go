@@ -122,6 +122,7 @@ func (s *Solver) solve(env Envelope, delay int) Thresholds {
 	vNom := p.VNominal
 	vMin, vMax := s.net.VMin(), s.net.VMax()
 	pr := s.newProbe(env, delay)
+	defer pr.release()
 
 	// solveLo bisects for the minimal Low threshold whose undershoot stays
 	// legal given a fixed High; returns ok=false when even the most
@@ -271,8 +272,8 @@ func scenarioDemand(sc scenario, c, cycles, period int, env Envelope) float64 {
 
 // scenarioCtl is one replica of the threshold controller the solver
 // simulates against: the sensed-level latch, the actuator settle counter,
-// and the sensor delay pipeline. Shared by the solo scenario runner and
-// the lockstep probe so both step the exact same state machine.
+// and the sensor delay pipeline. Shared by the exact scenario runner and
+// the probe so both step the exact same state machine.
 type scenarioCtl struct {
 	state        int // 0 normal, -1 gating, +1 phantom
 	sinceTrigger int
@@ -370,69 +371,98 @@ func (s *Solver) runScenario(sc scenario, lo, hi float64, env Envelope, delay in
 	return res
 }
 
-// probe owns the reusable lockstep machinery for one solve: a 4-lane batch
-// convolver (one lane per worst-case scenario) plus a controller replica
-// per lane, reset between evaluations instead of reallocated — a solve
-// evaluates it dozens of times.
+// probe owns the reusable machinery for one solve: one streaming
+// simulator and one controller replica per worst-case scenario, reset
+// between evaluations instead of reallocated — a solve evaluates it dozens
+// of times.
+//
+// The simulators run the PDN's modal recursion (pdn.Simulator.StepModal),
+// O(1) per cycle, and every voltage feeds only comparisons: the delayed
+// reading against lo and hi, the sample against vMin-solveEps and
+// vMax+solveEps. A sample farther than the recursion's bound eps from all
+// four edges compares exactly as its exact value would, so it is used as
+// is; only a sample within eps of an edge is replaced by its exact
+// (dotRing-order) voltage. Verdicts, and so solved thresholds, are those
+// of the exact simulator by construction.
 type probe struct {
-	net      *pdn.Network
-	env      Envelope
-	period   int
-	cycles   int
-	vNom     float64
-	vLow     float64 // vMin - solveEps
-	vHigh    float64 // vMax + solveEps
-	batch    *pdn.BatchSimulator
-	ctls     []scenarioCtl
-	currents []float64
-	volts    []float64
+	env    Envelope
+	period int
+	cycles int
+	vNom   float64
+	vLow   float64 // vMin - solveEps
+	vHigh  float64 // vMax + solveEps
+	sims   []*pdn.Simulator
+	ctls   []scenarioCtl
+	in     [1]float64
+	out    [1]float64
+
+	modalCycles uint64 // samples stepped through the modal form
+	exactEvals  uint64 // of those, samples re-evaluated exactly
 }
 
 func (s *Solver) newProbe(env Envelope, delay int) *probe {
 	period := s.net.ResonantPeriodCycles()
 	p := &probe{
-		net:      s.net,
-		env:      env,
-		period:   period,
-		cycles:   s.net.KernelLen() + 14*period,
-		vNom:     s.net.Params().VNominal,
-		vLow:     s.net.VMin() - solveEps,
-		vHigh:    s.net.VMax() + solveEps,
-		batch:    s.net.NewBatchSimulator(len(scenarios)),
-		ctls:     make([]scenarioCtl, len(scenarios)),
-		currents: make([]float64, len(scenarios)),
-		volts:    make([]float64, len(scenarios)),
+		env:    env,
+		period: period,
+		cycles: s.net.KernelLen() + 14*period,
+		vNom:   s.net.Params().VNominal,
+		vLow:   s.net.VMin() - solveEps,
+		vHigh:  s.net.VMax() + solveEps,
+		sims:   make([]*pdn.Simulator, len(scenarios)),
+		ctls:   make([]scenarioCtl, len(scenarios)),
 	}
 	for l := range p.ctls {
+		p.sims[l] = s.net.NewSimulator()
 		p.ctls[l] = newScenarioCtl(p.vNom, env, delay)
 	}
 	return p
 }
 
+// release returns the probe's simulator buffers to the network's pool and
+// folds its modal counters into the process metrics.
+func (p *probe) release() {
+	for _, sim := range p.sims {
+		sim.Release()
+	}
+	reg := telemetry.Default()
+	reg.Counter("pdn.modal_cycles_total").Add(int64(p.modalCycles))
+	reg.Counter("pdn.exact_evals_total").Add(int64(p.exactEvals))
+}
+
+// near reports whether v lies within eps of edge, where a comparison
+// against edge could answer differently for the exact voltage.
+func near(v, edge, eps float64) bool { return math.Abs(v-edge) <= eps }
+
 // violations evaluates one threshold pair against the worst-case suite and
 // reports whether any scenario drives the supply below vMin-solveEps
 // (lowBad) or above vMax+solveEps (highBad) — exactly the comparisons
-// excursions' extreme voltages feed, but computed in lockstep across the
-// four scenarios and stopped the cycle every *needed* verdict has resolved
-// to true. A needed verdict can only resolve false by surviving the whole
-// horizon, so early exit never changes an answer; a verdict the caller did
-// not ask for may be reported false even when a longer run would have
-// tripped it. Per-lane voltages are bit-identical to the solo simulator's
-// (the batch kernel preserves per-lane accumulation order), which is what
-// keeps solved thresholds identical to the sequential implementation.
+// excursions' extreme voltages feed, but computed across the four
+// scenarios cycle by cycle and stopped the cycle every *needed* verdict has
+// resolved to true. A needed verdict can only resolve false by surviving
+// the whole horizon, so early exit never changes an answer; a verdict the
+// caller did not ask for may be reported false even when a longer run
+// would have tripped it.
+//
+//didt:hotpath
 func (p *probe) violations(lo, hi float64, needLow, needHigh bool) (lowBad, highBad bool) {
-	p.batch.Reset()
 	for l := range p.ctls {
+		p.sims[l].Reset()
 		p.ctls[l].reset(p.vNom, p.env)
 	}
 	for c := 0; c < p.cycles; c++ {
-		for l := range p.ctls {
+		for l, sim := range p.sims {
 			demand := scenarioDemand(scenarios[l], c, p.cycles, p.period, p.env)
-			p.currents[l] = p.ctls[l].decide(lo, hi, demand, p.env)
-		}
-		p.batch.Step(p.currents, p.volts)
-		for l := range p.ctls {
-			v := p.volts[l]
+			p.in[0] = p.ctls[l].decide(lo, hi, demand, p.env)
+			eps := sim.StepModal(p.in[:], p.out[:])
+			v := p.out[0]
+			if eps > 0 {
+				p.modalCycles++
+				if near(v, lo, eps) || near(v, hi, eps) || near(v, p.vLow, eps) || near(v, p.vHigh, eps) {
+					v = sim.Exact(0)
+					p.exactEvals++
+				}
+			}
 			if v < p.vLow {
 				lowBad = true
 			}

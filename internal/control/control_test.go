@@ -256,3 +256,21 @@ func TestWeakActuatorMatchesSequentialSolve(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkProbeViolations is one full-horizon evaluation of the solver's
+// probe: four scenarios through the PDN's modal recursion with controller
+// replicas. In the ci.sh allocation gate — the probe's cycle loop must
+// not allocate.
+func BenchmarkProbeViolations(b *testing.B) {
+	n, err := pdn.Calibrate(pdn.Params{IFloor: 40}, 10, 70, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr := NewSolver(n).newProbe(refEnv(), 2)
+	defer pr.release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr.violations(0.97, 1.03, true, true)
+	}
+}

@@ -135,6 +135,11 @@ type System struct {
 	cur  [pdn.MaxBlock]float64
 	volt [pdn.MaxBlock]float64
 
+	// Rail-cycles whose voltages came from the PDN's modal recursion, and
+	// how many of those were re-evaluated exactly (whole-run counters).
+	modalCycles uint64
+	exactEvals  uint64
+
 	quietStreak uint64 // consecutive no-issue cycles (pessimistic ramp)
 	rampLeft    int
 
@@ -157,6 +162,7 @@ type System struct {
 	scopeCur []float64            // per-cycle scratch: current by scope
 	railCur  []float64            // block scratch: current by rail, cycle-major
 	railVolt []float64            // block scratch: voltage by rail, cycle-major
+	railEps  []float64            // block scratch: modal error bound by rail
 
 	// dvs, when non-nil, scales the machine's current draw by the schedule's
 	// operating point (set on both single- and multi-rail systems when the
@@ -348,15 +354,14 @@ type CycleState struct {
 //
 //didt:hotpath
 func (s *System) StepCycle() CycleState {
-	return s.stepBlock(1)
+	return s.stepBlock(1, true)
 }
 
 // machineStep advances the machine half of the loop — actuator gating into
 // the core, core activity into the power model — and returns the cycle's
 // activity, load current and completion flag. The PDN convolution and
 // everything downstream of the voltage live in the driver's ingest and
-// control halves; RunBatch steps many systems' machine halves against one
-// batched convolver between the two.
+// control halves.
 //
 //didt:hotpath
 func (s *System) machineStep(act *cpu.Activity) (float64, bool) {
@@ -445,9 +450,11 @@ func boolArg(b bool) int32 {
 // convolves it through the PDN's FFT path instead of paying a kernel-length
 // multiply-add per cycle. The FFT agrees with the streaming convolver to
 // <= 1e-9 V (see internal/pdn's property tests); anything that feeds the
-// voltage back (control, ramp, telemetry) stays on the streaming reference
-// path, which the block driver advances up to pdn.MaxBlock cycles per PDN
-// pass (see drive.go) with results identical to stepping cycle by cycle.
+// voltage back (control, ramp, telemetry) stays on the streaming path,
+// which the block driver advances up to pdn.MaxBlock cycles per PDN pass
+// (see drive.go) through the network's O(1) modal recursion, taking a
+// sample's exact voltage wherever a decision could depend on its last
+// bits, so results are identical to stepping cycle by cycle.
 func (s *System) Run() (*Result, error) {
 	if s.openLoop() {
 		if s.rails != nil {
@@ -475,8 +482,8 @@ func (s *System) openLoop() bool {
 }
 
 // finish aggregates the run's statistics into a Result and publishes the
-// whole-run metrics. Every completion path — streaming, open-loop, batched
-// — funnels through here.
+// whole-run metrics. Every completion path — streaming and open-loop —
+// funnels through here.
 func (s *System) finish(st cpu.Stats, energy float64) *Result {
 	measured := uint64(0)
 	if s.cycle > s.spec.Budget.WarmupCycles {
@@ -526,6 +533,8 @@ func (s *System) publishMetrics(r *Result) {
 	reg.Counter("cpu.instructions_total").Add(int64(r.Stats.Instructions))
 	reg.Counter("cpu.mispredicts_total").Add(int64(r.Stats.Mispredicts))
 	reg.Counter("cpu.gated_cycles_total").Add(int64(r.Stats.GatedCycles))
+	reg.Counter("pdn.modal_cycles_total").Add(int64(s.modalCycles))
+	reg.Counter("pdn.exact_evals_total").Add(int64(s.exactEvals))
 	if s.Sensor != nil {
 		samples, low, high := s.Sensor.Trips()
 		reg.Counter("sensor.samples_total").Add(int64(samples))

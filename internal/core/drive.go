@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"didt/internal/cpu"
 	"didt/internal/pdn"
 	"didt/internal/power"
@@ -40,21 +42,27 @@ func (s *System) blockLen() int {
 }
 
 // runLoop advances the loop block by block until the program retires or
-// the cycle budget is spent.
+// the cycle budget is spent. Voltages come from the PDN's modal recursion
+// unless the run publishes them (recorded traces, a live telemetry
+// stream).
 func (s *System) runLoop() {
 	b := uint64(s.blockLen())
+	exact := s.opts.RecordTraces || s.stream.Enabled()
 	for s.cycle < s.spec.Budget.MaxCycles {
-		if s.stepBlock(int(min(b, s.spec.Budget.MaxCycles-s.cycle))).Done {
+		if s.stepBlock(int(min(b, s.spec.Budget.MaxCycles-s.cycle)), exact).Done {
 			break
 		}
 	}
 }
 
 // stepBlock advances up to n (1..pdn.MaxBlock) cycles, stopping early when
-// the program retires, and returns the last cycle's state.
+// the program retires, and returns the last cycle's state. With exact
+// false the block's voltages come from the PDN's modal recursion and are
+// exact only where ingest could tell the difference (see needsExact); the
+// returned state's Voltage is then such an estimate.
 //
 //didt:hotpath
-func (s *System) stepBlock(n int) CycleState {
+func (s *System) stepBlock(n int, exact bool) CycleState {
 	b := 0
 	done := false
 	for {
@@ -75,13 +83,36 @@ func (s *System) stepBlock(n int) CycleState {
 	}
 	first := s.cycle + 1 - uint64(b)
 	if s.rails == nil {
-		s.Sim.StepBlock(s.cur[:b], s.volt[:b])
+		if exact {
+			s.Sim.StepBlock(s.cur[:b], s.volt[:b])
+		} else if eps := s.Sim.StepModal(s.cur[:b], s.volt[:b]); eps > 0 {
+			s.modalCycles += uint64(b)
+			if s.needsExact(first, s.volt[:b], eps) {
+				s.Sim.ExactBlock(s.volt[:b])
+				s.exactEvals += uint64(b)
+			}
+		}
 		for j := 0; j < b; j++ {
 			s.ingest(first+uint64(j), s.cur[j], s.volt[j])
 		}
 	} else {
 		k := len(s.rails)
-		s.gsim.StepBlock(s.railCur[:b*k], s.railVolt[:b*k])
+		if exact {
+			s.gsim.StepBlock(s.railCur[:b*k], s.railVolt[:b*k])
+		} else {
+			volts := s.railVolt[:b*k]
+			s.gsim.StepModal(s.railCur[:b*k], volts, s.railEps)
+			for i := range s.rails {
+				if s.railEps[i] == 0 {
+					continue // no modal form: the rail's voltages are exact
+				}
+				s.modalCycles += uint64(b)
+				if s.railNeedsExact(i, first, volts) {
+					s.gsim.ExactRail(i, volts)
+					s.exactEvals += uint64(b)
+				}
+			}
+		}
 		for j := 0; j < b; j++ {
 			s.volt[j] = s.railVolt[j*k]
 			s.ingestMulti(first+uint64(j), s.cur[j], s.railVolt[j*k:j*k+k])
@@ -90,9 +121,61 @@ func (s *System) stepBlock(n int) CycleState {
 	return s.endCycle(&s.acts[b-1], s.cur[b-1], s.volt[b-1], done)
 }
 
+// needsExact reports whether any modal estimate f[j] of a single-rail
+// block, each within eps of its exact voltage, could be ingested
+// differently from that voltage: a possible new min or max, within eps of
+// the emergency band's edges, straddling a histogram bin edge, or within
+// eps plus the noise amplitude of a sensor threshold. Every ingest
+// decision is a comparison monotone in the voltage, so an estimate that
+// passes all four tests is ingested exactly as its exact voltage would be.
+//
+//didt:hotpath
+func (s *System) needsExact(first uint64, f []float64, eps float64) bool {
+	warm := s.spec.Budget.WarmupCycles
+	vmin, vmax := s.Net.VMin(), s.Net.VMax()
+	for j, v := range f {
+		if first+uint64(j) >= warm {
+			if v-eps < s.minV || v+eps > s.maxV ||
+				math.Abs(v-vmin) <= eps || math.Abs(v-vmax) <= eps ||
+				s.hist.Bin(v-eps) != s.hist.Bin(v+eps) {
+				return true
+			}
+		}
+		if s.spec.Control.Enabled && !s.Sensor.Decides(v, eps) {
+			return true
+		}
+	}
+	return false
+}
+
+// railNeedsExact is needsExact for rail i of a multi-rail block (f
+// cycle-major, bound s.railEps[i]), adding the rail's own min/max and
+// band to the aggregate ones.
+//
+//didt:hotpath
+func (s *System) railNeedsExact(i int, first uint64, f []float64) bool {
+	warm := s.spec.Budget.WarmupCycles
+	k := len(s.rails)
+	r := &s.rails[i]
+	eps := s.railEps[i]
+	vmin, vmax := r.net.VMin(), r.net.VMax()
+	for j := 0; j*k < len(f); j++ {
+		v := f[j*k+i]
+		if first+uint64(j) >= warm &&
+			(v-eps < r.minV || v+eps > r.maxV || v-eps < s.minV || v+eps > s.maxV ||
+				math.Abs(v-vmin) <= eps || math.Abs(v-vmax) <= eps ||
+				s.hist.Bin(v-eps) != s.hist.Bin(v+eps)) {
+			return true
+		}
+		if s.spec.Control.Enabled && r.sensor != nil && !r.sensor.Decides(v, eps) {
+			return true
+		}
+	}
+	return false
+}
+
 // endCycle closes a cycle whose voltage has been ingested: its control
-// half, telemetry, the reported state, and the cycle counter. RunBatch
-// calls it per lane after the batched convolution.
+// half, telemetry, the reported state, and the cycle counter.
 //
 //didt:hotpath
 func (s *System) endCycle(act *cpu.Activity, current, v float64, done bool) CycleState {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"didt/internal/actuator"
@@ -100,6 +101,14 @@ func resultDiff(got, want *Result) string {
 // trips. It returns the Run result and the block length Run used.
 func checkRunMatchesStepwise(t *testing.T, name string, prog isa.Program, opts Options) (*Result, int) {
 	t.Helper()
+	res, blk := compareRunStepwise(t, name, prog, opts, nil)
+	return res, blk.blockLen()
+}
+
+// compareRunStepwise is checkRunMatchesStepwise with a setup hook applied
+// to both systems before they run; it returns the Run result and system.
+func compareRunStepwise(t *testing.T, name string, prog isa.Program, opts Options, setup func(*System)) (*Result, *System) {
+	t.Helper()
 	blk, err := NewSystem(prog, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -110,6 +119,10 @@ func checkRunMatchesStepwise(t *testing.T, name string, prog isa.Program, opts O
 		t.Fatalf("%s: %v", name, err)
 	}
 	defer ref.Close()
+	if setup != nil {
+		setup(blk)
+		setup(ref)
+	}
 	b := blk.blockLen()
 	got, err := blk.Run()
 	if err != nil {
@@ -123,17 +136,19 @@ func checkRunMatchesStepwise(t *testing.T, name string, prog isa.Program, opts O
 	if fmt.Sprint(gt) != fmt.Sprint(wt) {
 		t.Errorf("%s (B=%d): sensor trips %v vs %v", name, b, gt, wt)
 	}
-	return got, b
+	return got, blk
 }
 
 // TestRunMatchesStepwiseAcrossDelays covers every sensor delay the paper
 // studies on the single-rail and the coupled three-rail system, with an
-// ideal and a 10 mV noisy sensor, and a budget that is not a multiple of
-// any block length so the last block is cut short.
+// ideal and a 10 and 25 mV noisy sensor, and a budget that is not a
+// multiple of any block length so the last block is cut short. Run takes
+// its voltages from the PDN's modal recursion; the stepwise oracle is
+// exact.
 func TestRunMatchesStepwiseAcrossDelays(t *testing.T) {
 	prog := alternator(2000)
 	for delay := 0; delay <= 6; delay++ {
-		for _, noise := range []float64{0, 10} {
+		for _, noise := range []float64{0, 10, 25} {
 			k := knobs{
 				ImpedancePct: 2.5, MaxCycles: 12_007, WarmupCycles: 2_000,
 				Control: true, Mechanism: actuator.FU.Name, Delay: delay, NoiseMV: noise, Seed: 7,
@@ -254,5 +269,90 @@ func TestTelemetryStreamRunsOneCycleBlocks(t *testing.T) {
 	}
 	if d := resultDiff(traced, plain); d != "" {
 		t.Errorf("telemetry changed the run: %s", d)
+	}
+}
+
+// pinSensor sets rail 0's sensor thresholds to (lo, hi) and every other
+// rail's to values the supply never reaches.
+func pinSensor(sys *System, lo, hi float64) {
+	sen := sys.Sensor
+	if sys.rails != nil {
+		for i := range sys.rails[1:] {
+			if r := sys.rails[i+1].sensor; r != nil {
+				_ = r.SetThresholds(0, 2)
+			}
+		}
+		sen = sys.rails[0].sensor
+	}
+	if err := sen.SetThresholds(lo, hi); err != nil {
+		panic(err)
+	}
+}
+
+// TestRunMatchesStepwisePinnedThresholds puts a sensor threshold exactly
+// on a voltage the exact oracle produced — the first one past 20 mV from
+// nominal on an otherwise uncontrolled run, so the run up to that sample
+// is unchanged by the pin — and one ulp either side. Whether the sensor
+// trips on that sample depends on its last bit, so Run must ingest it
+// exactly: results equal the stepwise oracle's, and Run re-evaluated
+// samples exactly.
+func TestRunMatchesStepwisePinnedThresholds(t *testing.T) {
+	prog := alternator(2000)
+	for _, delay := range []int{0, 2, 5} {
+		for _, noise := range []float64{0, 10} {
+			for _, rails := range []int{1, 3} {
+				// The whole run is warmup: no statistic is kept, so the
+				// sensor is the only consumer that can demand an exact
+				// voltage.
+				k := knobs{
+					ImpedancePct: 2.5, MaxCycles: 12_007, WarmupCycles: 12_007,
+					Control: true, Mechanism: actuator.FU.Name, Delay: delay, NoiseMV: noise, Seed: 7,
+				}
+				opts := k.options()
+				if rails == 3 {
+					k.ImpedancePct = 3
+					opts = threeRailKnobs(k)
+				}
+				oracle, err := NewSystem(prog, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pinSensor(oracle, 0, 2)
+				lo, hi := math.NaN(), math.NaN()
+				vnom := oracle.Net.Params().VNominal
+				for oracle.cycle < oracle.spec.Budget.MaxCycles {
+					st := oracle.StepCycle()
+					if math.IsNaN(lo) && st.Voltage < vnom-0.02 {
+						lo = st.Voltage
+					}
+					if math.IsNaN(hi) && st.Voltage > vnom+0.02 {
+						hi = st.Voltage
+					}
+					if st.Done {
+						break
+					}
+				}
+				oracle.Close()
+				if math.IsNaN(lo) || math.IsNaN(hi) {
+					t.Fatalf("delay %d: uncontrolled run never left +-20 mV (lo %v hi %v)", delay, lo, hi)
+				}
+				for _, pin := range []struct {
+					name string
+					edge float64
+				}{{"lo", lo}, {"hi", hi}} {
+					for _, th := range []float64{pin.edge, math.Nextafter(pin.edge, 0), math.Nextafter(pin.edge, 2)} {
+						l, h := th, 2.0
+						if pin.name == "hi" {
+							l, h = 0, th
+						}
+						name := fmt.Sprintf("%d-rail delay=%d noise=%g %s=%v", rails, delay, noise, pin.name, th)
+						_, sys := compareRunStepwise(t, name, prog, opts, func(s *System) { pinSensor(s, l, h) })
+						if sys.exactEvals == 0 {
+							t.Errorf("%s: no sample was evaluated exactly", name)
+						}
+					}
+				}
+			}
+		}
 	}
 }

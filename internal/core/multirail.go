@@ -140,6 +140,7 @@ func newMultiRailSystem(s *System, sp spec.RunSpec, opts Options) (*System, erro
 	s.scopeCur = make([]float64, power.NumScopes)
 	s.railCur = make([]float64, pdn.MaxBlock*len(rails))
 	s.railVolt = make([]float64, pdn.MaxBlock*len(rails))
+	s.railEps = make([]float64, len(rails))
 	for sc := power.Scope(0); sc < power.NumScopes; sc++ {
 		for i := range rails {
 			if rails[i].mask.Has(sc) {

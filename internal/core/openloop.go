@@ -128,100 +128,18 @@ func (s *System) runOpenLoop() (*Result, error) {
 	return s.finish(mr.stats, mr.energy), nil
 }
 
-// RunBatch advances the given systems in lockstep through one shared
-// structure-of-arrays PDN convolver and returns their results in input
-// order. All systems must target the same PDN parameters (hence the same
-// sampled kernel) and must be freshly built — RunBatch is the batched
-// equivalent of calling Run on each.
-//
-// Each lane's sequence of machine steps, voltages, sensor readings and
-// actuation decisions is bit-identical to a solo Run: the batch kernel
-// preserves per-lane accumulation order, and every lane keeps its own CPU,
-// power model, sensor RNG and policy state. A lane that finishes early
-// stops being observed; its slot is driven at IFloor (zero deviation)
-// until the whole batch drains.
+// RunBatch runs the given freshly built systems and returns their results
+// in input order: exactly what calling Run on each would return. Every
+// system runs on its own block driver, whose PDN recursion costs O(1) per
+// cycle, so there is no lockstep kernel left to share.
 func RunBatch(systems []*System) ([]*Result, error) {
-	if len(systems) == 0 {
-		return nil, nil
-	}
-	if len(systems) == 1 {
-		r, err := systems[0].Run()
+	results := make([]*Result, len(systems))
+	for i, s := range systems {
+		r, err := s.Run()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: lane %d: %w", i, err)
 		}
-		return []*Result{r}, nil
-	}
-	for _, s := range systems {
-		if s.rails != nil {
-			// Multi-rail systems carry a rail graph per lane; the shared
-			// single-kernel batch convolver does not apply. Run them
-			// sequentially — same results, no lockstep speedup.
-			results := make([]*Result, len(systems))
-			for i, ms := range systems {
-				r, err := ms.Run()
-				if err != nil {
-					return nil, fmt.Errorf("core: lane %d: %w", i, err)
-				}
-				results[i] = r
-			}
-			return results, nil
-		}
-	}
-	params := systems[0].Net.Params()
-	for _, s := range systems[1:] {
-		if s.Net.Params() != params {
-			return nil, fmt.Errorf("core: RunBatch requires identical PDN params (got %+v vs %+v)", s.Net.Params(), params)
-		}
-	}
-	w := len(systems)
-	batch := systems[0].Net.NewBatchSimulator(w)
-	currents := make([]float64, w)
-	volts := make([]float64, w)
-	acts := make([]cpu.Activity, w)
-	dones := make([]bool, w)
-	finished := make([]bool, w)
-	remaining := w
-	for remaining > 0 {
-		// Once the batch is mostly drained, one fixed w-wide kernel step
-		// costs more than stepping the survivors' own streaming simulators,
-		// so hand each survivor its lane's ring state and let it finish on
-		// the per-run block driver (bit-identical — see ExtractLane).
-		if 2*remaining <= w {
-			break
-		}
-		for l, s := range systems {
-			if finished[l] {
-				currents[l] = params.IFloor
-				continue
-			}
-			currents[l], dones[l] = s.machineStep(&acts[l])
-		}
-		batch.Step(currents, volts)
-		for l, s := range systems {
-			if finished[l] {
-				continue
-			}
-			s.ingest(s.cycle, currents[l], volts[l])
-			st := s.endCycle(&acts[l], currents[l], volts[l], dones[l])
-			if st.Done || s.cycle >= s.spec.Budget.MaxCycles {
-				finished[l] = true
-				remaining--
-			}
-		}
-	}
-	for l, s := range systems {
-		if finished[l] {
-			continue
-		}
-		batch.ExtractLane(l, s.Sim)
-		s.runLoop()
-	}
-	results := make([]*Result, w)
-	for l, s := range systems {
-		if err := s.CPU.Err(); err != nil {
-			return nil, fmt.Errorf("core: lane %d: %w", l, err)
-		}
-		results[l] = s.finish(s.CPU.Stats(), s.Power.TotalEnergy())
+		results[i] = r
 	}
 	return results, nil
 }

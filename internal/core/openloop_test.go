@@ -98,13 +98,9 @@ func TestOpenLoopTraceCacheReuse(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSoloRun pins the batch kernel's bit-identity
-// contract end to end: eight closed-loop systems advanced in lockstep
-// must produce exactly the Results of eight solo Runs — including mixed
-// programs, delays and budgets within one batch. The budgets are
-// staggered so the batch drains one lane at a time, driving the lane
-// count through the migration threshold and exercising the ExtractLane
-// handoff to the per-run path mid-ring.
+// TestRunBatchMatchesSoloRun pins RunBatch's contract: eight closed-loop
+// systems run through it produce exactly the Results of eight solo Runs —
+// including mixed programs, delays and budgets within one call.
 func TestRunBatchMatchesSoloRun(t *testing.T) {
 	progs := []int{300, 250, 300, 280, 300, 250, 280, 300}
 	delays := []int{0, 1, 2, 3, 0, 2, 1, 3}

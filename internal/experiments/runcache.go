@@ -6,7 +6,6 @@ import (
 	"didt/internal/actuator"
 	"didt/internal/core"
 	"didt/internal/isa"
-	"didt/internal/pdn"
 	"didt/internal/sim"
 	"didt/internal/spec"
 	"didt/internal/telemetry"
@@ -35,7 +34,7 @@ func RunCacheStats() sim.CacheStats { return runCache.Stats() }
 // measure cold-start cost).
 func ResetRunCache() { runCache.Reset() }
 
-// runJob is one simulation in a keyed batch: the program, its stable
+// runJob is one simulation in a keyed job list: the program, its stable
 // identity (empty disables all run-level caching), and the run options.
 type runJob struct {
 	prog    isa.Program
@@ -140,47 +139,11 @@ func (c Config) runKeyed(j runJob) (*core.Result, error) {
 	})
 }
 
-// batchable reports whether a job runs on the streaming (closed-loop)
-// path, where lockstep batching pays. Open-loop jobs go solo: they take
-// the block-convolution fast path inside core, which is already far
-// cheaper than any batched streaming run.
-func batchable(opts core.Options) bool {
-	s := opts.Spec.WithDefaults()
-	if opts.Responder != nil {
-		// Responders are study-specific code; keep them on the exact solo
-		// path rather than reasoning about their reentrancy in a batch.
-		return false
-	}
-	if s.PDN.MultiRail() {
-		// A multi-rail system carries its own rail graph; the shared
-		// single-kernel lockstep convolver does not apply (RunBatch would
-		// fall back to sequential Runs anyway).
-		return false
-	}
-	return s.Control.Enabled || s.Control.PessimisticRamp != 0 ||
-		opts.Telemetry.Enabled()
-}
-
-// batchGroupKey fingerprints the machine-and-network half of a job's spec
-// — everything that must agree for systems to share one batched PDN
-// convolver. Controller, actuator, sensor, seed and workload stay
-// per-lane.
-func batchGroupKey(opts core.Options) string {
-	s := opts.Spec
-	s.Control = spec.ControlSpec{}
-	s.Actuator = spec.ActuatorSpec{}
-	s.Sensor = spec.SensorSpec{}
-	s.Workload = spec.WorkloadSpec{}
-	s.Seed = spec.Seed{}
-	return sim.Fingerprint(s)
-}
-
 // runJobs executes a job list and returns Results in input order, spending
 // as little simulation as possible: cache hits are taken up front,
-// duplicate keys within the list run once, and the remaining closed-loop
-// jobs are packed into pdn.Lanes-wide lockstep batches per machine/PDN
-// group (leftovers and open-loop jobs run solo). Every job's Result is
-// bit-identical to a plain run() of the same options.
+// duplicate keys within the list run once, and every remaining job is one
+// sweep item. Every job's Result is bit-identical to a plain run() of the
+// same options.
 func (c Config) runJobs(jobs []runJob) ([]*core.Result, error) {
 	results := make([]*core.Result, len(jobs))
 	keys := make([]string, len(jobs))
@@ -205,93 +168,23 @@ func (c Config) runJobs(jobs []runJob) ([]*core.Result, error) {
 		pending = append(pending, i)
 	}
 
-	chunks := chunkJobs(jobs, pending)
-	chunkRes, err := sweep(c, chunks, func(idxs []int) ([]*core.Result, error) {
-		return runChunk(jobs, idxs)
+	res, err := sweep(c, pending, func(idx int) (*core.Result, error) {
+		j := jobs[idx]
+		opts := j.opts
+		opts.ProgKey = j.progKey
+		return run(j.prog, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ci, idxs := range chunks {
-		for k, idx := range idxs {
-			r := chunkRes[ci][k]
-			if keys[idx] != "" {
-				runCache.Put(keys[idx], r)
-			}
-			results[idx] = r
+	for k, idx := range pending {
+		if keys[idx] != "" {
+			runCache.Put(keys[idx], res[k])
 		}
+		results[idx] = res[k]
 	}
 	for i, l := range follower {
 		results[i] = results[l]
 	}
 	return results, nil
-}
-
-// chunkJobs partitions the pending job indices into execution chunks:
-// full pdn.Lanes-wide batches within each machine/PDN group, then one
-// chunk for whatever remains of the group (width 4 hits the solver-width
-// kernel specialization; other sub-Lanes widths use the generic lane loop,
-// which still amortizes the tap walk, and RunBatch migrates the last
-// survivors of a draining batch to the per-run path). Only a remainder of
-// one runs solo.
-func chunkJobs(jobs []runJob, pending []int) [][]int {
-	var chunks [][]int
-	groups := map[string][]int{}
-	var order []string
-	for _, i := range pending {
-		if !batchable(jobs[i].opts) {
-			chunks = append(chunks, []int{i})
-			continue
-		}
-		g := batchGroupKey(jobs[i].opts)
-		if _, ok := groups[g]; !ok {
-			order = append(order, g)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	for _, g := range order {
-		idxs := groups[g]
-		for len(idxs) >= pdn.Lanes {
-			chunks = append(chunks, idxs[:pdn.Lanes:pdn.Lanes])
-			idxs = idxs[pdn.Lanes:]
-		}
-		if len(idxs) > 0 {
-			chunks = append(chunks, idxs)
-		}
-	}
-	return chunks
-}
-
-// runChunk executes one chunk: a lone job through run(), a full batch
-// through core.RunBatch.
-func runChunk(jobs []runJob, idxs []int) ([]*core.Result, error) {
-	if len(idxs) == 1 {
-		j := jobs[idxs[0]]
-		opts := j.opts
-		opts.ProgKey = j.progKey
-		r, err := run(j.prog, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*core.Result{r}, nil
-	}
-	systems := make([]*core.System, len(idxs))
-	defer func() {
-		for _, s := range systems {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
-	for k, idx := range idxs {
-		j := jobs[idx]
-		opts := j.opts
-		opts.ProgKey = j.progKey
-		sys, err := core.NewSystem(j.prog, opts)
-		if err != nil {
-			return nil, err
-		}
-		systems[k] = sys
-	}
-	return core.RunBatch(systems)
 }

@@ -117,6 +117,10 @@ func (s *SecondOrder) DampedFreq() float64 { return s.wd / (2 * math.Pi) }
 // Alpha returns the exponential decay rate of transients in 1/s.
 func (s *SecondOrder) Alpha() float64 { return s.alpha }
 
+// DampedRate returns the damped natural frequency wd in rad/s: the poles
+// are -Alpha() +- j*DampedRate().
+func (s *SecondOrder) DampedRate() float64 { return s.wd }
+
 // DCResistance returns Z(0) = R.
 func (s *SecondOrder) DCResistance() float64 { return s.R }
 

@@ -168,50 +168,6 @@ func TestBatchSimulatorBitIdentical(t *testing.T) {
 	}
 }
 
-// TestExtractLaneContinuesBitIdentical runs a batch past the ring wrap,
-// extracts each lane into a solo Simulator, and requires the continuation
-// to stay bit-identical (==) to a reference that never left the solo path.
-// This is the contract RunBatch's drain migration relies on.
-func TestExtractLaneContinuesBitIdentical(t *testing.T) {
-	n := mustCalibrated(t, 2)
-	rng := rand.New(rand.NewSource(14))
-	const w = 5
-	b := n.NewBatchSimulator(w)
-	ref := make([]*Simulator, w)
-	for l := range ref {
-		ref[l] = n.NewSimulator()
-	}
-	currents := make([]float64, w)
-	volts := make([]float64, w)
-	split := n.KernelLen() + 3 // past one full wrap, write position mid-ring
-	for c := 0; c < split; c++ {
-		for l := 0; l < w; l++ {
-			currents[l] = 10 + 50*rng.Float64()
-		}
-		b.Step(currents, volts)
-		for l := 0; l < w; l++ {
-			if want := ref[l].Step(currents[l]); volts[l] != want {
-				t.Fatalf("pre-split cycle %d lane %d: %v != %v", c, l, volts[l], want)
-			}
-		}
-	}
-	for l := 0; l < w; l++ {
-		solo := n.NewSimulator()
-		b.ExtractLane(l, solo)
-		if solo.Cycles() != ref[l].Cycles() {
-			t.Fatalf("lane %d: extracted cycle count %d want %d", l, solo.Cycles(), ref[l].Cycles())
-		}
-		for c := 0; c < n.KernelLen()+9; c++ {
-			cur := 10 + 50*rng.Float64()
-			if got, want := solo.Step(cur), ref[l].Step(cur); got != want {
-				t.Fatalf("lane %d post-split cycle %d: %v != %v", l, c, got, want)
-			}
-		}
-		solo.Release()
-		ref[l].Release()
-	}
-}
-
 func TestHotPathsZeroAlloc(t *testing.T) {
 	n := mustCalibrated(t, 2)
 	sim := n.NewSimulator()

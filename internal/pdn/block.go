@@ -54,6 +54,10 @@ func (s *Simulator) StepBlock(currents, volts []float64) {
 	ring := len(s.hist) - (MaxBlock - 1)
 	ifloor := s.net.params.IFloor
 	first := s.pos
+	s.blkFirst, s.blkLen = first, len(currents)
+	// The modal sum does not follow exact steps; the next StepModal
+	// re-anchors it from the ring.
+	s.since = len(s.net.kernel)
 	p := s.pos
 	for _, c := range currents {
 		s.put(p, c-ifloor)

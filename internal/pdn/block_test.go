@@ -60,52 +60,6 @@ func TestStepBlockMixedLengths(t *testing.T) {
 	}
 }
 
-// TestExtractLaneThenStepBlock hands lanes of a wrapped batch to solo
-// simulators in the mirrored layout and continues them in blocks: the
-// continuation must stay == to a reference that never left the solo path.
-func TestExtractLaneThenStepBlock(t *testing.T) {
-	n := mustCalibrated(t, 2)
-	rng := rand.New(rand.NewSource(32))
-	const w = 3
-	for _, split := range []int{5, n.KernelLen() - 1, n.KernelLen() + 3, 2*n.KernelLen() + 1} {
-		b := n.NewBatchSimulator(w)
-		ref := make([]*Simulator, w)
-		for l := range ref {
-			ref[l] = n.NewSimulator()
-		}
-		currents, volts := make([]float64, w), make([]float64, w)
-		for c := 0; c < split; c++ {
-			for l := range currents {
-				currents[l] = 10 + 50*rng.Float64()
-				ref[l].Step(currents[l])
-			}
-			b.Step(currents, volts)
-		}
-		for l := 0; l < w; l++ {
-			solo := n.NewSimulator()
-			// Dirty the recycled buffer: extraction must not depend on it.
-			for i := range solo.hist {
-				solo.hist[i] = 1e9
-			}
-			b.ExtractLane(l, solo)
-			var in, out [MaxBlock]float64
-			for c := 0; c < n.KernelLen()+9; c += MaxBlock {
-				for j := range in {
-					in[j] = 10 + 50*rng.Float64()
-				}
-				solo.StepBlock(in[:], out[:])
-				for j, cur := range in {
-					if want := ref[l].Step(cur); out[j] != want {
-						t.Fatalf("split %d lane %d cycle %d: %v != %v", split, l, c+j, out[j], want)
-					}
-				}
-			}
-			solo.Release()
-			ref[l].Release()
-		}
-	}
-}
-
 func TestStepBlockRejectsLongBlock(t *testing.T) {
 	n := mustCalibrated(t, 2)
 	sim := n.NewSimulator()

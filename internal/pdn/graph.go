@@ -158,45 +158,90 @@ func (s *GraphSimulator) Step(currents, volts []float64) {
 //
 //didt:hotpath
 func (s *GraphSimulator) StepBlock(currents, volts []float64) {
-	g := s.g
+	s.step(currents, volts, nil)
+}
+
+// StepModal is StepBlock through each rail's modal form (see
+// Simulator.StepModal): volts receives the estimates, cycle-major, and
+// eps[i] the bound on rail i's. ExactRail recovers a rail's exact
+// voltages of the same block. Zero allocations.
+//
+//didt:hotpath
+func (s *GraphSimulator) StepModal(currents, volts, eps []float64) {
+	s.step(currents, volts, eps)
+}
+
+// step is StepBlock when eps is nil and StepModal otherwise.
+//
+//didt:hotpath
+func (s *GraphSimulator) step(currents, volts, eps []float64) {
 	n := len(s.sims)
 	b := len(currents) / n
-	eff := currents
-	if g.coupled {
-		// Build each rail's effective input before any rail advances, so
-		// injection uses the cycle's raw currents.
-		eff = s.eff[:len(currents)]
-		floors := g.floors
-		for j := 0; j < b; j++ {
-			cur := currents[j*n : j*n+n]
-			for i := range cur {
-				c := cur[i]
-				for f, k := range g.coupling[i] {
-					if k != 0 {
-						c += k * (cur[f] - floors[f])
-					}
-				}
-				eff[j*n+i] = c
+	eff := s.effective(currents, b)
+	for i, sim := range s.sims {
+		in, out := eff[i:i+1], volts[i:i+1]
+		if b > 1 {
+			// Gather the rail's inputs into one contiguous block.
+			in, out = s.in[:b], s.out[:b]
+			for j := range in {
+				in[j] = eff[j*n+i]
+			}
+		}
+		if eps == nil {
+			sim.StepBlock(in, out)
+		} else {
+			eps[i] = sim.StepModal(in, out)
+		}
+		if b > 1 {
+			for j, v := range out {
+				volts[j*n+i] = v
 			}
 		}
 	}
-	if b == 1 {
-		// One cycle: each rail's input and output are already contiguous.
-		for i, sim := range s.sims {
-			sim.StepBlock(eff[i:i+1], volts[i:i+1])
-		}
-		return
+}
+
+// ExactRail overwrites rail i's entries of volts (cycle-major, as
+// StepModal wrote it) with the last block's exact voltages: == to
+// StepBlock.
+//
+//didt:hotpath
+func (s *GraphSimulator) ExactRail(i int, volts []float64) {
+	n := len(s.sims)
+	sim := s.sims[i]
+	out := s.out[:sim.blkLen]
+	sim.ExactBlock(out)
+	for j, v := range out {
+		volts[j*n+i] = v
 	}
-	in, out := s.in[:b], s.out[:b]
-	for i, sim := range s.sims {
-		for j := range in {
-			in[j] = eff[j*n+i]
-		}
-		sim.StepBlock(in, out)
-		for j, v := range out {
-			volts[j*n+i] = v
+}
+
+// effective returns a block's per-rail convolution inputs: the raw
+// currents on an uncoupled graph, else each cycle's currents plus the
+// transients injected from its neighbours, all built from that cycle's
+// raw currents before any rail advances.
+//
+//didt:hotpath
+func (s *GraphSimulator) effective(currents []float64, b int) []float64 {
+	g := s.g
+	if !g.coupled {
+		return currents
+	}
+	n := len(s.sims)
+	eff := s.eff[:len(currents)]
+	floors := g.floors
+	for j := 0; j < b; j++ {
+		cur := currents[j*n : j*n+n]
+		for i := range cur {
+			c := cur[i]
+			for f, k := range g.coupling[i] {
+				if k != 0 {
+					c += k * (cur[f] - floors[f])
+				}
+			}
+			eff[j*n+i] = c
 		}
 	}
+	return eff
 }
 
 // Cycles reports how many cycles have been simulated.

@@ -29,39 +29,6 @@ func TestSingleRailGraphBitIdenticalStep(t *testing.T) {
 	ref.Release()
 }
 
-// TestSingleRailGraphBitIdenticalBatch: a lane drained out of the batched
-// SoA simulator into the 1-node graph's rail simulator must continue the
-// lane's voltage sequence bit-identically — the handoff RunBatch relies on.
-func TestSingleRailGraphBitIdenticalBatch(t *testing.T) {
-	n := mustCalibrated(t, 2)
-	b := n.NewBatchSimulator(Lanes)
-	cur := make([]float64, Lanes)
-	volts := make([]float64, Lanes)
-	for i := 0; i < 200; i++ {
-		for l := range cur {
-			cur[l] = graphCurrent(i*Lanes + l)
-		}
-		b.Step(cur, volts)
-	}
-	const lane = 3
-	g := SingleRail(n)
-	gs := g.NewSimulator()
-	b.ExtractLane(lane, gs.RailSim(0))
-	ref := n.NewSimulator()
-	b.ExtractLane(lane, ref)
-	gcur := make([]float64, 1)
-	gvolt := make([]float64, 1)
-	for i := 0; i < 300; i++ {
-		gcur[0] = graphCurrent(1000 + i)
-		gs.Step(gcur, gvolt)
-		if want := ref.Step(gcur[0]); gvolt[0] != want {
-			t.Fatalf("cycle %d after handoff: graph %v != network %v", i, gvolt[0], want)
-		}
-	}
-	gs.Release()
-	ref.Release()
-}
-
 // TestSingleRailGraphBitIdenticalConvolve: the 1-node graph's block path
 // must delegate to Network.ConvolveVoltages on both the streaming branch
 // (trace shorter than the kernel) and the FFT branch (trace longer).

@@ -89,6 +89,7 @@ type Network struct {
 	sys    *linsys.SecondOrder
 	kernel []float64 // impulse response sampled at the CPU clock, scaled by dt
 	fftk   *fft.Kernel
+	modal  *modalForm // nil when the network has no modal form (modal.go)
 
 	simPool sync.Pool // recycled Simulator history buffers ([]float64)
 	fftPool sync.Pool // recycled fft.Scratch + deviation buffers (*fftWork)
@@ -96,12 +97,14 @@ type Network struct {
 
 // sampled pairs the derived artifacts a Network shares with every other
 // Network built from the same parameters: the analytic system, the sampled
-// impulse-response kernel, and the kernel's frozen FFT spectrum for the
-// open-loop block convolver. All are immutable after construction.
+// impulse-response kernel, the kernel's frozen FFT spectrum for the
+// open-loop block convolver, and the kernel's modal form for the streaming
+// one. All are immutable after construction.
 type sampled struct {
 	sys    *linsys.SecondOrder
 	kernel []float64
 	fftk   *fft.Kernel
+	modal  *modalForm
 }
 
 // kernelCache memoizes kernel sampling across Networks. A sweep
@@ -147,13 +150,14 @@ func New(p Params) (*Network, error) {
 		if err != nil {
 			return sampled{}, fmt.Errorf("pdn: %w", err)
 		}
-		return sampled{sys: sys, kernel: kernel, fftk: fftk}, nil
+		modal := fitModal(sys, kernel, 1/p.ClockHz, p.VNominal)
+		return sampled{sys: sys, kernel: kernel, fftk: fftk, modal: modal}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	telemetry.Default().Counter("pdn.networks_built_total").Inc()
-	return &Network{params: p, sys: sk.sys, kernel: sk.kernel, fftk: sk.fftk}, nil
+	return &Network{params: p, sys: sk.sys, kernel: sk.kernel, fftk: sk.fftk, modal: sk.modal}, nil
 }
 
 // Calibrate sets the network's peak impedance from the de facto target-
@@ -300,11 +304,21 @@ func (n *Network) WorstCaseDeviation(iMin, iMax float64) float64 {
 // overwrites a tap an earlier output of the same block still reads, and
 // its first MaxBlock-1 slots are repeated past the end so every block's
 // window of consecutive samples is one contiguous slice.
+//
+// Beside the ring it carries the modal recursion's state (modal.go): the
+// mode sum, the running max |I - IFloor| that scales its error bound, and
+// the cycles since the sum was last re-anchored from the ring.
 type Simulator struct {
 	net  *Network
 	hist []float64 // mirrored ring of past current deviations (I - IFloor)
 	pos  int       // slot of the next sample
 	n    int       // cycles processed
+
+	sr, si   float64 // modal sum s = sum_{i<L} p^i x[n-i]
+	xmax     float64 // running max |I - IFloor|
+	since    int     // cycles since s was anchored; >= kernel length forces a re-anchor
+	blkFirst int     // ring slot of the last block's first sample
+	blkLen   int     // length of the last block
 }
 
 // NewSimulator creates a fresh streaming voltage simulator whose history is
@@ -312,6 +326,8 @@ type Simulator struct {
 // across runs via the network's pool; call Release when done with a
 // simulator to return its buffer.
 func (n *Network) NewSimulator() *Simulator {
+	// A quiescent ring's mode sum is exactly zero, so a fresh simulator
+	// starts anchored.
 	size := mirroredLen(len(n.kernel))
 	if h, ok := n.simPool.Get().([]float64); ok && len(h) == size {
 		for i := range h {
@@ -390,8 +406,9 @@ const Lanes = 8
 // lockstep through one structure-of-arrays inner loop. The history buffer
 // is laid out slot-major (hist[slot*W + lane]), so each kernel tap touches
 // one contiguous W-wide row and the per-tap kernel load plus ring-index
-// arithmetic is amortized across all lanes — the sweep engine groups runs
-// that share a PDN kernel and steps them through one of these.
+// arithmetic is amortized across all lanes. The engine no longer steps
+// runs through it — a solo Simulator's modal recursion is O(1) per cycle —
+// so it serves benchmarks of the L-tap kernel itself.
 //
 // Per lane, the accumulation order is exactly Simulator.Step's (ascending
 // kernel index), so every lane's voltage sequence is bit-identical to
@@ -574,27 +591,6 @@ func (b *BatchSimulator) step4(volts []float64) {
 	volts[3] = vnom - a3
 }
 
-// ExtractLane copies lane l's ring state into dst, a Simulator on the
-// same Network. The batch ring holds cycle t's deviation in slot t mod
-// kernel length, the Simulator's mirrored ring in slot t mod ringLen; the
-// copy moves the last kernel-length samples — every tap a future output
-// reads — to their slots in the new layout, so stepping dst continues lane
-// l's voltage sequence bit-identically. RunBatch uses this to let a nearly
-// drained batch finish its last lanes on the cheaper per-run path.
-func (b *BatchSimulator) ExtractLane(l int, dst *Simulator) {
-	for i := range dst.hist {
-		dst.hist[i] = 0
-	}
-	k := len(b.net.kernel)
-	ring := ringLen(k)
-	// Cycles before 0 are quiescent: their slots stay zero.
-	for t := max(b.n-k, 0); t < b.n; t++ {
-		dst.put(t%ring, b.hist[(t%k)*b.w+l])
-	}
-	dst.pos = b.n % ring
-	dst.n = b.n
-}
-
 // Reset returns all lanes to the quiescent state.
 func (b *BatchSimulator) Reset() {
 	for i := range b.hist {
@@ -611,4 +607,5 @@ func (s *Simulator) Reset() {
 	}
 	s.pos = 0
 	s.n = 0
+	s.sr, s.si, s.xmax, s.since = 0, 0, 0, 0
 }

@@ -11,6 +11,7 @@ package sensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -85,6 +86,19 @@ func (s *Sensor) SetThresholds(lo, hi float64) error {
 	}
 	s.vLow, s.vHigh = lo, hi
 	return nil
+}
+
+// Decides reports whether pushing v classifies exactly as pushing any
+// voltage within eps of it would, whatever the noise draw: v is farther
+// than eps plus the noise amplitude from both thresholds. A reading is
+// fl(v + noise) with |noise| <= the amplitude, and both comparisons are
+// monotone in v, so the answer for v is then the answer for every voltage
+// in [v-eps, v+eps].
+//
+//didt:hotpath
+func (s *Sensor) Decides(v, eps float64) bool {
+	r := eps + s.noise
+	return math.Abs(v-s.vLow) > r && math.Abs(v-s.vHigh) > r
 }
 
 // Thresholds returns the current trip points.

@@ -30,6 +30,13 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
+	h.Counts[h.Bin(x)]++
+	h.total++
+}
+
+// Bin returns the bin Add would count x in. It is non-decreasing in x, so
+// every sample between two with the same bin lands in that bin too.
+func (h *Histogram) Bin(x float64) int {
 	n := len(h.Counts)
 	idx := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
 	if idx < 0 {
@@ -38,8 +45,7 @@ func (h *Histogram) Add(x float64) {
 	if idx >= n {
 		idx = n - 1
 	}
-	h.Counts[idx]++
-	h.total++
+	return idx
 }
 
 // AddAll records every sample in xs.
