@@ -95,13 +95,14 @@ go test -race -count=1 \
 
 # Allocation gate: the per-cycle simulation kernels (streaming PDN step,
 # its block form on one rail and on the coupled graph, the modal block
-# step, batched SoA step, FFT block convolution, and the threshold
-# solver's probe cycle loop) must stay allocation-free. A heap allocation
-# per call adds garbage-collector work to every simulated cycle; the
-# kernels themselves cost ~700 ns/cycle for the exact streaming step on
-# the bench host, ~15 ns/cycle for the modal step and ~50 ns per sample
-# for the FFT path. The benchmarks run under -benchmem and any
-# "N allocs/op" with N > 0 fails.
+# step that every engine run — open and closed loop — takes, batched SoA
+# step, and the threshold solver's probe cycle loop) plus the FFT block
+# convolution, which now serves offline whole-trace analysis only, must
+# stay allocation-free. A heap allocation per call adds garbage-collector
+# work to every simulated cycle; the kernels themselves cost ~700 ns/cycle
+# for the exact streaming step on the bench host, ~15 ns/cycle for the
+# modal step and ~100 ns per sample for the FFT path. The benchmarks run
+# under -benchmem and any "N allocs/op" with N > 0 fails.
 go test -run NONE \
     -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkStepModal$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$|BenchmarkProbeViolations$' \
     -benchtime 100x -benchmem ./internal/pdn ./internal/fft ./internal/control | tee /tmp/didt_allocgate.txt

@@ -56,10 +56,10 @@ type Options struct {
 
 	// ProgKey, when non-empty, is a stable identity for the program
 	// (typically a fingerprint of its generation parameters). It enables
-	// the machine-trace cache on the open-loop fast path: runs that share
-	// program, CPU and power configuration reuse one cycle-accurate
-	// current trace and re-convolve it per PDN. Empty disables that cache
-	// — results are identical either way.
+	// the machine-trace cache for runs that replay (see System.Run):
+	// runs that share program, CPU and power configuration and budget
+	// reuse one cycle-accurate current trace and replay it through each
+	// PDN. Empty disables that cache — results are identical either way.
 	ProgKey string
 }
 
@@ -444,23 +444,18 @@ func boolArg(b bool) int32 {
 // Run advances the loop until the program retires or MaxCycles elapse and
 // returns the aggregated result.
 //
-// Open-loop runs — no controller, no pessimistic ramp, no responder, no
-// enabled telemetry stream — have a machine whose evolution cannot depend
-// on the voltage, so Run computes the whole current trace first and block-
-// convolves it through the PDN's FFT path instead of paying a kernel-length
-// multiply-add per cycle. The FFT agrees with the streaming convolver to
-// <= 1e-9 V (see internal/pdn's property tests); anything that feeds the
-// voltage back (control, ramp, telemetry) stays on the streaming path,
-// which the block driver advances up to pdn.MaxBlock cycles per PDN pass
-// (see drive.go) through the network's O(1) modal recursion, taking a
+// Every run computes its voltages in the block driver's one PDN half
+// (settle, drive.go): the network's O(1) modal recursion, taking a
 // sample's exact voltage wherever a decision could depend on its last
-// bits, so results are identical to stepping cycle by cycle.
+// bits, so results are identical to stepping cycle by cycle. Runs differ
+// only in where the currents come from. A run that replays (see replays)
+// takes its machine's whole current trace first — from the trace cache
+// when Options.ProgKey names the program — and settles it block by block;
+// every other run steps the machine up to pdn.MaxBlock cycles ahead of
+// each PDN pass.
 func (s *System) Run() (*Result, error) {
-	if s.openLoop() {
-		if s.rails != nil {
-			return s.runOpenLoopMulti()
-		}
-		return s.runOpenLoop()
+	if s.replays() {
+		return s.replay()
 	}
 	s.runLoop()
 	if err := s.CPU.Err(); err != nil {
@@ -469,20 +464,23 @@ func (s *System) Run() (*Result, error) {
 	return s.finish(s.CPU.Stats(), s.Power.TotalEnergy()), nil
 }
 
-// openLoop reports whether nothing in this run feeds the computed voltage
-// back into the machine: the controller is off (no sensing, no actuation),
-// the pessimistic ramp is off (its gating feeds the next machine cycle),
-// no code-level responder is attached, and the telemetry stream is
-// disabled (per-cycle emission is interleaved with stepping).
-func (s *System) openLoop() bool {
-	return !s.spec.Control.Enabled &&
+// replays reports whether Run replays a machine trace: a single-rail run
+// in which nothing feeds the computed voltage back into the machine — the
+// controller is off (no sensing, no actuation), the pessimistic ramp is
+// off (its gating feeds the next machine cycle), no code-level responder
+// is attached, and the telemetry stream is disabled (per-cycle emission
+// is interleaved with stepping). Trace-cache entries hold one current per
+// cycle, so multi-rail runs always step.
+func (s *System) replays() bool {
+	return s.rails == nil &&
+		!s.spec.Control.Enabled &&
 		s.spec.Control.PessimisticRamp == 0 &&
 		s.opts.Responder == nil &&
 		!s.stream.Enabled()
 }
 
 // finish aggregates the run's statistics into a Result and publishes the
-// whole-run metrics. Every completion path — streaming and open-loop —
+// whole-run metrics. Every completion path — stepped and replayed —
 // funnels through here.
 func (s *System) finish(st cpu.Stats, energy float64) *Result {
 	measured := uint64(0)

@@ -11,7 +11,8 @@ import (
 
 // The block driver: the one streaming closed-loop spine, shared by the
 // single-rail and multi-rail systems, which differ only in their machine,
-// convolution, ingest and classification steps.
+// convolution, ingest and classification steps. Its PDN half, settle, is
+// also the whole of an open-loop replay (openloop.go).
 //
 // The sensor reports the supply D cycles late, so the control decision at
 // cycle m — and through it the machine at cycle m+1 — depends on the
@@ -56,10 +57,10 @@ func (s *System) runLoop() {
 }
 
 // stepBlock advances up to n (1..pdn.MaxBlock) cycles, stopping early when
-// the program retires, and returns the last cycle's state. With exact
-// false the block's voltages come from the PDN's modal recursion and are
-// exact only where ingest could tell the difference (see needsExact); the
-// returned state's Voltage is then such an estimate.
+// the program retires, settles them, and returns the last cycle's state.
+// With exact false the block's voltages come from the PDN's modal
+// recursion and are exact only where ingest could tell the difference (see
+// needsExact); the returned state's Voltage is then such an estimate.
 //
 //didt:hotpath
 func (s *System) stepBlock(n int, exact bool) CycleState {
@@ -81,44 +82,59 @@ func (s *System) stepBlock(n int, exact bool) CycleState {
 		s.control(&s.acts[b-1], b)
 		s.cycle++
 	}
-	first := s.cycle + 1 - uint64(b)
+	s.settle(s.cycle+1-uint64(b), s.cur[:b], exact)
+	return s.endCycle(&s.acts[b-1], s.cur[b-1], s.volt[b-1], done)
+}
+
+// settle is the PDN half of a block: it computes the voltages of the
+// len(cur) (1..pdn.MaxBlock) cycles starting at cycle first, whose load
+// currents are cur (per-rail currents in s.railCur on a multi-rail
+// system), and ingests them in cycle order. With exact false they come
+// from the modal recursion, re-evaluated exactly wherever needsExact says
+// an ingest decision could depend on it. runLoop calls it with the
+// machine's currents; the open-loop replay with a recorded machine trace,
+// which it only reads.
+//
+//didt:hotpath
+func (s *System) settle(first uint64, cur []float64, exact bool) {
+	b := len(cur)
 	if s.rails == nil {
+		volts := s.volt[:b]
 		if exact {
-			s.Sim.StepBlock(s.cur[:b], s.volt[:b])
-		} else if eps := s.Sim.StepModal(s.cur[:b], s.volt[:b]); eps > 0 {
+			s.Sim.StepBlock(cur, volts)
+		} else if eps := s.Sim.StepModal(cur, volts); eps > 0 {
 			s.modalCycles += uint64(b)
-			if s.needsExact(first, s.volt[:b], eps) {
-				s.Sim.ExactBlock(s.volt[:b])
+			if s.needsExact(first, volts, eps) {
+				s.Sim.ExactBlock(volts)
 				s.exactEvals += uint64(b)
 			}
 		}
-		for j := 0; j < b; j++ {
-			s.ingest(first+uint64(j), s.cur[j], s.volt[j])
+		for j, v := range volts {
+			s.ingest(first+uint64(j), cur[j], v)
 		}
+		return
+	}
+	k := len(s.rails)
+	volts := s.railVolt[:b*k]
+	if exact {
+		s.gsim.StepBlock(s.railCur[:b*k], volts)
 	} else {
-		k := len(s.rails)
-		if exact {
-			s.gsim.StepBlock(s.railCur[:b*k], s.railVolt[:b*k])
-		} else {
-			volts := s.railVolt[:b*k]
-			s.gsim.StepModal(s.railCur[:b*k], volts, s.railEps)
-			for i := range s.rails {
-				if s.railEps[i] == 0 {
-					continue // no modal form: the rail's voltages are exact
-				}
-				s.modalCycles += uint64(b)
-				if s.railNeedsExact(i, first, volts) {
-					s.gsim.ExactRail(i, volts)
-					s.exactEvals += uint64(b)
-				}
+		s.gsim.StepModal(s.railCur[:b*k], volts, s.railEps)
+		for i := range s.rails {
+			if s.railEps[i] == 0 {
+				continue // no modal form: the rail's voltages are exact
+			}
+			s.modalCycles += uint64(b)
+			if s.railNeedsExact(i, first, volts) {
+				s.gsim.ExactRail(i, volts)
+				s.exactEvals += uint64(b)
 			}
 		}
-		for j := 0; j < b; j++ {
-			s.volt[j] = s.railVolt[j*k]
-			s.ingestMulti(first+uint64(j), s.cur[j], s.railVolt[j*k:j*k+k])
-		}
 	}
-	return s.endCycle(&s.acts[b-1], s.cur[b-1], s.volt[b-1], done)
+	for j := 0; j < b; j++ {
+		s.volt[j] = volts[j*k]
+		s.ingestMulti(first+uint64(j), cur[j], volts[j*k:j*k+k])
+	}
 }
 
 // needsExact reports whether any modal estimate f[j] of a single-rail

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"didt/internal/actuator"
@@ -244,6 +245,104 @@ func TestRunMatchesStepwiseRetiresMidBlock(t *testing.T) {
 	}
 	if !midBlock {
 		t.Error("retirement never fell mid-block; pick a different program length")
+	}
+}
+
+// TestRunMatchesStepwiseOpenLoop covers runs with control off. A
+// single-rail run replays its machine trace — from the trace cache under
+// a ProgKey, on a miss and then on hits, or stepped fresh without one —
+// through the driver's PDN half; a multi-rail run steps. Both must equal
+// the exact stepwise loop on every Result field, with and without warmup,
+// with traces recorded, and for a program that retires mid-block. The
+// replay must also leave the cached currents untouched and publish its
+// modal and exact counts.
+func TestRunMatchesStepwiseOpenLoop(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	reg := telemetry.Default()
+	modal0 := reg.Counter("pdn.modal_cycles_total").Value()
+	exact0 := reg.Counter("pdn.exact_evals_total").Value()
+	cache0 := TraceCacheStats()
+	var modal, exact, replayModal, replayExact uint64
+	check := func(name string, prog isa.Program, opts Options) *Result {
+		t.Helper()
+		res, sys := compareRunStepwise(t, name, prog, opts, nil)
+		if want := !opts.Spec.PDN.MultiRail(); sys.replays() != want {
+			t.Errorf("%s: replays() = %v, want %v", name, !want, want)
+		}
+		modal += sys.modalCycles
+		exact += sys.exactEvals
+		if sys.replays() {
+			replayModal += sys.modalCycles
+			replayExact += sys.exactEvals
+		}
+		return res
+	}
+
+	prog := alternator(2000)
+	for _, warm := range []uint64{0, 3_000} {
+		k := knobs{ImpedancePct: 2.5, MaxCycles: 12_007, WarmupCycles: warm}
+		check(fmt.Sprintf("single warmup=%d", warm), prog, k.options())
+
+		// Warmup gates statistics, not stepping, so both warmups share
+		// one cached trace: one miss, then hits.
+		keyed := k.options()
+		keyed.ProgKey = "test:alternator2000"
+		first := check(fmt.Sprintf("keyed warmup=%d", warm), prog, keyed)
+		sys, err := NewSystem(prog, keyed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := sys.machineTrace()
+		sys.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := slices.Clone(mr.currents)
+		second := check(fmt.Sprintf("keyed again warmup=%d", warm), prog, keyed)
+		if d := resultDiff(second, first); d != "" {
+			t.Errorf("warmup %d: cached replays differ: %s", warm, d)
+		}
+		if !slices.Equal(mr.currents, cached) {
+			t.Errorf("warmup %d: the replay wrote into the cached trace", warm)
+		}
+
+		traced := keyed
+		traced.RecordTraces = true
+		res := check(fmt.Sprintf("traces warmup=%d", warm), prog, traced)
+		if len(res.VoltageTrace) != int(res.Cycles) {
+			t.Errorf("warmup %d: recorded %d voltages for %d cycles", warm, len(res.VoltageTrace), res.Cycles)
+		}
+
+		k.ImpedancePct = 3
+		check(fmt.Sprintf("3-rail warmup=%d", warm), prog, threeRailKnobs(k))
+		o := threeRailKnobs(k)
+		o.RecordTraces = true
+		check(fmt.Sprintf("3-rail traces warmup=%d", warm), prog, o)
+	}
+
+	k := knobs{ImpedancePct: 2.5, MaxCycles: 1_000_000, WarmupCycles: 500}
+	res := check("retire", alternator(59), k.options())
+	if res.Cycles >= k.MaxCycles || res.Cycles%pdn.MaxBlock == 0 {
+		t.Errorf("program retired at cycle %d; want mid-block, within the budget", res.Cycles)
+	}
+	k.ImpedancePct = 3
+	check("3-rail retire", alternator(59), threeRailKnobs(k))
+
+	// Keyed runs: 2 warmups x (first, machineTrace, again, traces), all
+	// on one trace.
+	if st := TraceCacheStats(); st.Misses-cache0.Misses != 1 || st.Hits-cache0.Hits != 7 {
+		t.Errorf("trace cache: %d misses and %d hits, want 1 and 7",
+			st.Misses-cache0.Misses, st.Hits-cache0.Hits)
+	}
+	if replayModal == 0 || replayExact == 0 {
+		t.Errorf("replays took %d modal and %d exact cycles; want both > 0", replayModal, replayExact)
+	}
+	if got := reg.Counter("pdn.modal_cycles_total").Value() - modal0; got != int64(modal) {
+		t.Errorf("pdn.modal_cycles_total grew by %d, want %d", got, modal)
+	}
+	if got := reg.Counter("pdn.exact_evals_total").Value() - exact0; got != int64(exact) {
+		t.Errorf("pdn.exact_evals_total grew by %d, want %d", got, exact)
 	}
 }
 

@@ -334,86 +334,6 @@ func (s *System) classifyRails(lead int) (level sensor.Level, anyLow, anyHigh bo
 	return level, anyLow, anyHigh
 }
 
-// runOpenLoopMulti is the open-loop fast path on the rail graph: step the
-// machine once recording per-rail current traces, block-convolve every
-// rail (coupling included) through Graph.ConvolveVoltages, then replay the
-// statistics in cycle order. The machine-trace cache does not apply — its
-// entries are single-current traces — but the per-rail block convolution
-// still beats kernel-length multiply-adds per cycle per rail.
-func (s *System) runOpenLoopMulti() (*Result, error) {
-	n := len(s.rails)
-	traces := make([][]float64, n)
-	for i := range traces {
-		traces[i] = make([]float64, 0, s.spec.Budget.MaxCycles)
-	}
-	var totals []float64
-	if s.opts.RecordTraces {
-		totals = make([]float64, 0, s.spec.Budget.MaxCycles)
-	}
-	var act cpu.Activity
-	var cycles uint64
-	railCur := make([]float64, n)
-	for cycles < s.spec.Budget.MaxCycles {
-		total, done := s.machineStepMulti(&act, railCur)
-		for i := 0; i < n; i++ {
-			traces[i] = append(traces[i], railCur[i])
-		}
-		if s.opts.RecordTraces {
-			totals = append(totals, total)
-		}
-		cycles++
-		if done {
-			break
-		}
-	}
-	if err := s.CPU.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	volts := make([][]float64, n)
-	for i := range volts {
-		volts[i] = make([]float64, len(traces[i]))
-	}
-	s.graph.ConvolveVoltages(volts, traces)
-
-	warm := s.spec.Budget.WarmupCycles
-	for c := uint64(0); c < cycles; c++ {
-		if c < warm {
-			continue
-		}
-		anyEmerg := false
-		for i := range s.rails {
-			r := &s.rails[i]
-			v := volts[i][c]
-			if v < r.minV {
-				r.minV = v
-			}
-			if v > r.maxV {
-				r.maxV = v
-			}
-			if v < r.net.VMin() || v > r.net.VMax() {
-				r.emerg++
-				anyEmerg = true
-			}
-			if v < s.minV {
-				s.minV = v
-			}
-			if v > s.maxV {
-				s.maxV = v
-			}
-			s.hist.Add(v)
-		}
-		if anyEmerg {
-			s.emerg++
-		}
-	}
-	if s.opts.RecordTraces {
-		s.curTr = append(s.curTr, totals...)
-		s.voltTr = append(s.voltTr, volts[0]...)
-	}
-	s.cycle = cycles
-	return s.finish(s.CPU.Stats(), s.Power.TotalEnergy()), nil
-}
-
 // railResults materializes the per-rail summaries for finish.
 func (s *System) railResults() []RailResult {
 	if len(s.rails) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"didt/internal/cpu"
+	"didt/internal/pdn"
 	"didt/internal/sim"
 	"didt/internal/telemetry"
 )
@@ -91,38 +92,20 @@ func (s *System) stepMachine() (*machineRun, error) {
 	return mr, nil
 }
 
-// runOpenLoop is the fast path: machine trace (possibly cached), one block
-// convolution, then a statistics replay in cycle order. The replay applies
-// the same per-cycle updates as ingest does on the streaming path, so the
-// only difference in the result is FFT round-off (<= 1e-9 V).
-func (s *System) runOpenLoop() (*Result, error) {
+// replay is the open-loop run: the machine trace (possibly cached), then
+// its currents through the block driver's PDN half, pdn.MaxBlock cycles
+// per pass, in cycle order. settle only reads the currents, so a cached
+// trace stays intact, and its voltages and ingest are the streaming
+// path's own: the result is == to stepping the same system.
+func (s *System) replay() (*Result, error) {
 	mr, err := s.machineTrace()
 	if err != nil {
 		return nil, err
 	}
-	volts := make([]float64, len(mr.currents))
-	s.Net.ConvolveVoltages(volts, mr.currents)
-
-	warm := s.spec.Budget.WarmupCycles
-	vmin, vmax := s.Net.VMin(), s.Net.VMax()
-	for c, v := range volts {
-		if uint64(c) < warm {
-			continue
-		}
-		if v < s.minV {
-			s.minV = v
-		}
-		if v > s.maxV {
-			s.maxV = v
-		}
-		if v < vmin || v > vmax {
-			s.emerg++
-		}
-		s.hist.Add(v)
-	}
-	if s.opts.RecordTraces {
-		s.curTr = append(s.curTr, mr.currents...)
-		s.voltTr = append(s.voltTr, volts...)
+	exact := s.opts.RecordTraces
+	cur := mr.currents
+	for c := 0; c < len(cur); c += pdn.MaxBlock {
+		s.settle(uint64(c), cur[c:min(c+pdn.MaxBlock, len(cur))], exact)
 	}
 	s.cycle = mr.cycles
 	return s.finish(mr.stats, mr.energy), nil

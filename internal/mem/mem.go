@@ -18,10 +18,11 @@ type Cache struct {
 	ways      int
 	lineShift uint
 
-	tags [][]uint64
-	// valid bits folded into tags via +1 offset: tag 0 means invalid.
-	lru [][]uint64 // per-way last-use stamps
-	use uint64
+	// Set-major way arrays: set s occupies [s*ways, (s+1)*ways). Valid
+	// bits are folded into tags via a +1 offset: tag 0 means invalid.
+	tags []uint64
+	lru  []uint64 // per-way last-use stamps
+	use  uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -48,12 +49,8 @@ func NewCache(name string, totalBytes, ways, lineBytes int) (*Cache, error) {
 	for l := lineBytes; l > 1; l >>= 1 {
 		c.lineShift++
 	}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]uint64, ways)
-	}
+	c.tags = make([]uint64, lines)
+	c.lru = make([]uint64, lines)
 	return c, nil
 }
 
@@ -65,7 +62,8 @@ func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line) & (c.sets - 1)
 	tag := line + 1 // +1 so that 0 is never a valid tag
-	ts, ls := c.tags[set], c.lru[set]
+	lo := set * c.ways
+	ts, ls := c.tags[lo:lo+c.ways], c.lru[lo:lo+c.ways]
 	for w, t := range ts {
 		if t == tag {
 			ls[w] = c.use
@@ -90,7 +88,8 @@ func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line) & (c.sets - 1)
 	tag := line + 1
-	for _, t := range c.tags[set] {
+	lo := set * c.ways
+	for _, t := range c.tags[lo : lo+c.ways] {
 		if t == tag {
 			return true
 		}

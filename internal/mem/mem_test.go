@@ -95,6 +95,22 @@ func TestHierarchyDefaultsMatchTable1(t *testing.T) {
 	}
 }
 
+// TestNewHierarchyAllocs pins the flat way arrays: building the Table 1
+// hierarchy costs 10 allocations — the Hierarchy, three Caches and two
+// set-major arrays each — not two slices per set (~18k for the 8192-set
+// L2). The bound leaves room for the runtime's own allocations when a GC
+// cycle lands inside the measurement.
+func TestNewHierarchyAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewHierarchy(Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("NewHierarchy made %v allocations, want about 10", allocs)
+	}
+}
+
 func TestHierarchyLatencies(t *testing.T) {
 	h, err := NewHierarchy(Config{})
 	if err != nil {
