@@ -59,7 +59,7 @@ type Options struct {
 	// the machine-trace cache for runs that replay (see System.Run):
 	// runs that share program, CPU and power configuration and budget
 	// reuse one cycle-accurate current trace and replay it through each
-	// PDN. Empty disables that cache — results are identical either way.
+	// PDN. Empty runs step instead — results are identical either way.
 	ProgKey string
 }
 
@@ -449,10 +449,9 @@ func boolArg(b bool) int32 {
 // sample's exact voltage wherever a decision could depend on its last
 // bits, so results are identical to stepping cycle by cycle. Runs differ
 // only in where the currents come from. A run that replays (see replays)
-// takes its machine's whole current trace first — from the trace cache
-// when Options.ProgKey names the program — and settles it block by block;
-// every other run steps the machine up to pdn.MaxBlock cycles ahead of
-// each PDN pass.
+// takes its machine's whole current trace from the trace cache, stepping
+// it there on a miss, and settles it block by block; every other run
+// steps the machine up to pdn.MaxBlock cycles ahead of each PDN pass.
 func (s *System) Run() (*Result, error) {
 	if s.replays() {
 		return s.replay()
@@ -465,14 +464,18 @@ func (s *System) Run() (*Result, error) {
 }
 
 // replays reports whether Run replays a machine trace: a single-rail run
-// in which nothing feeds the computed voltage back into the machine — the
-// controller is off (no sensing, no actuation), the pessimistic ramp is
-// off (its gating feeds the next machine cycle), no code-level responder
-// is attached, and the telemetry stream is disabled (per-cycle emission
-// is interleaved with stepping). Trace-cache entries hold one current per
-// cycle, so multi-rail runs always step.
+// whose Options.ProgKey names the program, in which nothing feeds the
+// computed voltage back into the machine — the controller is off (no
+// sensing, no actuation), the pessimistic ramp is off (its gating feeds
+// the next machine cycle), no code-level responder is attached, and the
+// telemetry stream is disabled (per-cycle emission is interleaved with
+// stepping). An unkeyed run steps: its trace could never be reused, and
+// stepping settles the same currents in the same blocks without buffering
+// them. Trace-cache entries hold one current per cycle, so multi-rail
+// runs always step.
 func (s *System) replays() bool {
-	return s.rails == nil &&
+	return s.opts.ProgKey != "" &&
+		s.rails == nil &&
 		!s.spec.Control.Enabled &&
 		s.spec.Control.PessimisticRamp == 0 &&
 		s.opts.Responder == nil &&

@@ -133,8 +133,9 @@ func TestOneRailGraphMatchesLegacySystem(t *testing.T) {
 	}
 }
 
-// TestMultiRailStreamingMatchesOpenLoop: the streaming step path and the
-// block-convolution fast path agree on the rail graph to FFT round-off,
+// TestMultiRailStreamingMatchesOpenLoop: an uncontrolled multi-rail Run,
+// which steps through the block driver on the rails' modal recursion,
+// equals the exact cycle-by-cycle StepCycle loop on every Result field,
 // mirroring the single-rail guarantee.
 func TestMultiRailStreamingMatchesOpenLoop(t *testing.T) {
 	k := knobs{ImpedancePct: 2, MaxCycles: 60000, WarmupCycles: 5000}
@@ -163,19 +164,11 @@ func TestMultiRailStreamingMatchesOpenLoop(t *testing.T) {
 	}
 	sr := slow.finish(slow.CPU.Stats(), slow.Power.TotalEnergy())
 
-	if fr.Cycles != sr.Cycles {
-		t.Fatalf("cycle counts differ: %d vs %d", fr.Cycles, sr.Cycles)
+	if len(fr.Rails) != 3 {
+		t.Fatalf("got %d rails, want 3", len(fr.Rails))
 	}
-	const tol = 1e-9
-	for i := range fr.Rails {
-		f, s := fr.Rails[i], sr.Rails[i]
-		if math.Abs(f.MinV-s.MinV) > tol || math.Abs(f.MaxV-s.MaxV) > tol {
-			t.Errorf("rail %q: open-loop [%.12f, %.12f] vs streaming [%.12f, %.12f]",
-				f.Name, f.MinV, f.MaxV, s.MinV, s.MaxV)
-		}
-		if f.Emergencies != s.Emergencies {
-			t.Errorf("rail %q emergencies: %d vs %d", f.Name, f.Emergencies, s.Emergencies)
-		}
+	if d := resultDiff(fr, sr); d != "" {
+		t.Errorf("stepped Run differs from the StepCycle loop: %s", d)
 	}
 }
 

@@ -53,12 +53,10 @@ func TraceCacheStats() sim.CacheStats { return traceCache.Stats() }
 // measure cold-start cost).
 func ResetTraceCache() { traceCache.Reset() }
 
-// machineTrace returns this run's machine evolution, from the trace cache
-// when a ProgKey is present, stepping this system's own machine otherwise.
+// machineTrace returns this run's machine evolution from the trace cache,
+// stepping this system's own machine on a miss. Only runs with a ProgKey
+// replay (see replays), so every trace stepped here can be reused.
 func (s *System) machineTrace() (*machineRun, error) {
-	if s.opts.ProgKey == "" {
-		return s.stepMachine()
-	}
 	key := machineKey{
 		prog:      s.opts.ProgKey,
 		cpu:       sim.Fingerprint(s.spec.CPU),
@@ -92,9 +90,9 @@ func (s *System) stepMachine() (*machineRun, error) {
 	return mr, nil
 }
 
-// replay is the open-loop run: the machine trace (possibly cached), then
-// its currents through the block driver's PDN half, pdn.MaxBlock cycles
-// per pass, in cycle order. settle only reads the currents, so a cached
+// replay is the keyed open-loop run: the cached machine trace, then its
+// currents through the block driver's PDN half, pdn.MaxBlock cycles per
+// pass, in cycle order. settle only reads the currents, so the cached
 // trace stays intact, and its voltages and ingest are the streaming
 // path's own: the result is == to stepping the same system.
 func (s *System) replay() (*Result, error) {

@@ -6,14 +6,16 @@ import (
 	"didt/internal/telemetry"
 )
 
-// TestOpenLoopMatchesStreaming pins the replay contract: an uncontrolled
-// run replayed from its machine trace must equal, on every Result field,
-// the same run forced onto the exact per-cycle streaming path (via an
-// enabled tracer, which never changes results).
+// TestOpenLoopMatchesStreaming pins the replay contract: a keyed
+// uncontrolled run replayed from its machine trace must equal, on every
+// Result field, the same run forced onto the exact per-cycle streaming
+// path (via an enabled tracer, which never changes results).
 func TestOpenLoopMatchesStreaming(t *testing.T) {
 	k := knobs{ImpedancePct: 2, MaxCycles: 60000, WarmupCycles: 10000}
 
-	fastSys, err := NewSystem(alternator(300), k.options())
+	fastOpts := k.options()
+	fastOpts.ProgKey = "test:alternator300"
+	fastSys, err := NewSystem(alternator(300), fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
