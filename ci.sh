@@ -76,7 +76,7 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 # golden and its edge-placement test; and the modal fuzz target's
 # committed corpus.
 go test -race -count=1 \
-    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
+    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
     ./internal/experiments ./internal/core ./internal/control ./internal/pdn
 
 # Modal fuzzing: random networks and current traces; every modal estimate
