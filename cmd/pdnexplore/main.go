@@ -110,13 +110,6 @@ func exploreSpec(path string, w io.Writer) error {
 		resolved.Key(), workloadName(resolved), 100*resolved.PDN.ImpedancePct)
 
 	rails := sys.Rails()
-	if rails == nil {
-		iMin, iMax := sys.Envelope()
-		rails = []core.RailInfo{{
-			Name: "chip", Net: sys.Net, IMin: iMin, IMax: iMax,
-			Thresholds: sys.Thresholds(),
-		}}
-	}
 
 	fmt.Fprintf(w, "\nRails (%d)\n", len(rails))
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)

@@ -30,10 +30,6 @@ type DVS struct {
 	HoldCycles int
 	// CurrentExponent relates the operating point to current draw.
 	CurrentExponent float64
-	// Driven marks the schedule as externally advanced: Respond then only
-	// delegates, and the owner (the multi-rail loop, which binds the
-	// schedule to one rail's sensor) calls Observe itself.
-	Driven bool
 
 	// StepDowns and StepUps count committed transitions.
 	StepDowns uint64
@@ -84,21 +80,19 @@ func (d *DVS) Envelope(pm *power.Model) (floor, ceil float64) {
 }
 
 // Respond implements Responder: the inner mechanism's gating and phantom
-// decisions pass through unchanged, and — unless the schedule is
-// externally Driven — the observed level also advances the schedule.
+// decisions pass through unchanged. It never moves the schedule; the
+// owner advances it through Observe, from whichever sensed level it binds
+// the schedule to.
 //
 //didt:hotpath
 func (d *DVS) Respond(l sensor.Level) (cpu.Gating, power.Phantom) {
-	if !d.Driven {
-		d.Observe(l)
-	}
 	return d.Inner.Respond(l)
 }
 
 // Observe advances the voltage-step schedule one cycle with the given
 // sensed level: Low pressure steps down (after TransitionCycles), and
-// HoldCycles of quiet steps back up. The multi-rail loop calls this with
-// the bound rail's level; the single-rail path goes through Respond.
+// HoldCycles of quiet steps back up. The closed loop calls this once per
+// controlled cycle with the bound rail's level, or the aggregate level.
 //
 //didt:hotpath
 func (d *DVS) Observe(l sensor.Level) {

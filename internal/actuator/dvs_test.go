@@ -25,14 +25,28 @@ func TestDVSDefaults(t *testing.T) {
 	}
 }
 
+// TestDVSPassesInnerResponseThrough: Respond returns the inner
+// mechanism's decision and never moves the schedule — with zero latencies
+// a single Observe(Low) would step down at once, so any hidden advance
+// shows up in the operating point and the counters.
 func TestDVSPassesInnerResponseThrough(t *testing.T) {
 	d := NewDVS(FUDL1IL1, nil, 0, 0, 2)
-	for _, l := range []sensor.Level{sensor.Low, sensor.Normal, sensor.High} {
-		g, p := d.Respond(l)
-		wg, wp := FUDL1IL1.Respond(l)
-		if g != wg || p != wp {
-			t.Errorf("level %v: response (%+v,%+v) != inner (%+v,%+v)", l, g, p, wg, wp)
+	for i := 0; i < 10; i++ {
+		for _, l := range []sensor.Level{sensor.Low, sensor.Normal, sensor.High} {
+			g, p := d.Respond(l)
+			wg, wp := FUDL1IL1.Respond(l)
+			if g != wg || p != wp {
+				t.Errorf("level %v: response (%+v,%+v) != inner (%+v,%+v)", l, g, p, wg, wp)
+			}
 		}
+	}
+	if d.Level() != 0 || d.Scale() != 1 || d.StepDowns != 0 || d.StepUps != 0 {
+		t.Errorf("Respond moved the schedule: level %d scale %g, %d down %d up",
+			d.Level(), d.Scale(), d.StepDowns, d.StepUps)
+	}
+	d.Observe(sensor.Low)
+	if d.Scale() != 0.95 {
+		t.Errorf("Observe(Low) with zero latency: scale %g, want 0.95", d.Scale())
 	}
 }
 
@@ -91,21 +105,6 @@ func TestDVSLowDuringQuietResetsHold(t *testing.T) {
 	d.Observe(sensor.Normal)
 	if d.Scale() != 1 {
 		t.Errorf("full hold elapsed but no step up: %g", d.Scale())
-	}
-}
-
-func TestDVSDrivenModeIgnoresRespond(t *testing.T) {
-	d := NewDVS(FU, []float64{1, 0.9}, 0, 5, 2)
-	d.Driven = true
-	for i := 0; i < 10; i++ {
-		d.Respond(sensor.Low)
-	}
-	if d.Scale() != 1 {
-		t.Errorf("driven schedule advanced through Respond: %g", d.Scale())
-	}
-	d.Observe(sensor.Low)
-	if d.Scale() != 0.9 {
-		t.Errorf("driven schedule ignored Observe: %g", d.Scale())
 	}
 }
 

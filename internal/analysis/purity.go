@@ -16,14 +16,14 @@ type PurityRoot struct {
 }
 
 // defaultPurityRoots are the contract's entry points on the real tree:
-// the per-cycle kernel, the multi-run entry point, the PDN convolver, the memo
+// the per-cycle kernel, the whole-run entry point, the PDN convolver, the memo
 // key, the experiment table (whose runner functions enter the graph
 // through value-reference edges), and the result-store entry codec — a
 // stored entry must be a pure function of (key, body) or byte-identical
 // restart recovery is fiction.
 var defaultPurityRoots = []PurityRoot{
 	{Pkg: "didt/internal/core", Recv: "System", Name: "StepCycle", Label: "core.StepCycle"},
-	{Pkg: "didt/internal/core", Recv: "", Name: "RunBatch", Label: "core.RunBatch"},
+	{Pkg: "didt/internal/core", Recv: "System", Name: "Run", Label: "core.System.Run"},
 	{Pkg: "didt/internal/pdn", Recv: "Network", Name: "ConvolveVoltages", Label: "pdn.ConvolveVoltages"},
 	{Pkg: "didt/internal/pdn", Recv: "GraphSimulator", Name: "Step", Label: "pdn.GraphSimulator.Step"},
 	{Pkg: "didt/internal/pdn", Recv: "Graph", Name: "ConvolveVoltages", Label: "pdn.Graph.ConvolveVoltages"},

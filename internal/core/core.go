@@ -83,10 +83,10 @@ type Result struct {
 	LowEvents  uint64 // distinct gating actuations
 	HighEvents uint64 // distinct phantom actuations
 
-	// Rails carries per-rail summaries on a multi-rail run (spec order;
-	// nil otherwise). The top-level MinV/MaxV are then the worst across
-	// rails, Emergencies counts cycles where any rail left its band, and
-	// Thresholds/VNominal describe rail 0.
+	// Rails carries per-rail summaries when the spec has a rails section
+	// (spec order; nil otherwise). The top-level MinV/MaxV are then the
+	// worst across rails, Emergencies counts cycles where any rail left
+	// its band, and Thresholds/VNominal describe rail 0.
 	Rails []RailResult
 
 	// DVS schedule activity, when the spec carries a DVS section.
@@ -106,6 +106,8 @@ type System struct {
 	opts Options
 	spec spec.RunSpec // resolved (WithDefaults applied)
 
+	// CPU and Power are the machine; Net, Sim and Sensor are rail 0's
+	// network, streaming simulator and sensor.
 	CPU    *cpu.CPU
 	Power  *power.Model
 	Net    *pdn.Network
@@ -129,11 +131,10 @@ type System struct {
 	phantom power.Phantom
 
 	// Block-driver scratch (see drive.go): each in-flight cycle's machine
-	// activity, load current, and voltage (rail 0's on a multi-rail
-	// system), reused so a step never zeroes a fresh copy.
+	// activity and whole-chip load current, reused so a step never zeroes
+	// a fresh copy.
 	acts [pdn.MaxBlock]cpu.Activity
 	cur  [pdn.MaxBlock]float64
-	volt [pdn.MaxBlock]float64
 
 	// Rail-cycles whose voltages came from the PDN's modal recursion, and
 	// how many of those were re-evaluated exactly (whole-run counters).
@@ -144,167 +145,90 @@ type System struct {
 	rampLeft    int
 
 	cycle  uint64
-	minV   float64
-	maxV   float64
 	emerg  uint64
 	hist   *stats.Histogram
 	curTr  trace.Trace
 	voltTr trace.Trace
-	iMin   float64
+	iMin   float64 // chip envelope
 	iMax   float64
 
-	// Multi-rail state (see multirail.go). rails is nil on a single-rail
-	// system, and every legacy path keys off that.
+	// The rail graph (see rails.go): one railState per delivery domain, at
+	// least one.
 	graph    *pdn.Graph
 	gsim     *pdn.GraphSimulator
 	rails    []railState
 	railOf   [power.NumScopes]int // delivery scope -> owning rail index
-	scopeCur []float64            // per-cycle scratch: current by scope
+	scopeCur []float64            // per-cycle scratch: current by scope (several rails only)
 	railCur  []float64            // block scratch: current by rail, cycle-major
 	railVolt []float64            // block scratch: voltage by rail, cycle-major
 	railEps  []float64            // block scratch: modal error bound by rail
 
 	// dvs, when non-nil, scales the machine's current draw by the schedule's
-	// operating point (set on both single- and multi-rail systems when the
-	// spec carries a DVS section).
+	// operating point, which control advances (see classify).
 	dvs     *actuator.DVS
 	dvsRail int // rail whose sensor drives the schedule; -1 = aggregate
 }
 
-// NewSystem builds the coupled system for a program. The PDN is calibrated
-// so that the theoretical worst-case current waveform exactly reaches the
-// emergency boundary at 100% target impedance, then scaled by
-// ImpedancePct; controller thresholds are solved for the configured delay
-// and actuator authority, with noise guard-banding applied.
+// NewSystem builds the coupled system for a program as a rail graph; a
+// spec without a rails section is the 1-node graph of one whole-chip
+// rail named "chip". Each rail's PDN is calibrated so that the
+// theoretical worst-case current waveform of its envelope exactly reaches
+// the emergency boundary at 100% target impedance, then scaled by its
+// impedance; with control enabled each rail's thresholds are solved for
+// the configured delay and the actuator's authority over the rail, with
+// noise guard-banding applied.
 func NewSystem(prog isa.Program, opts Options) (*System, error) {
 	sp := opts.Spec.WithDefaults()
 	c, err := cpu.New(sp.CPU, prog)
 	if err != nil {
 		return nil, err
 	}
-	pm := power.New(sp.Power, c.Config())
-	if sp.PDN.MultiRail() {
-		s := &System{
-			opts:  opts,
-			spec:  sp,
-			CPU:   c,
-			Power: pm,
-			minV:  math.Inf(1),
-			maxV:  math.Inf(-1),
-			hist:  stats.NewHistogram(0.90, 1.10, 200),
-		}
-		s.stream = opts.Telemetry.Stream(opts.TelemetryName)
-		return newMultiRailSystem(s, sp, opts)
-	}
-	iMin, iMax := sp.PDN.EnvelopeIMin, sp.PDN.EnvelopeIMax
-	if iMin == 0 || iMax == 0 {
-		// The probe memo keys on the as-given (pre-resolution) CPU/power
-		// sections, so distinct sparse specs keep distinct entries even
-		// when they resolve to the same configuration.
-		mMin, mMax, err := measureEnvelope(opts.Spec.CPU, opts.Spec.Power)
-		if err != nil {
-			return nil, err
-		}
-		if iMin == 0 {
-			iMin = mMin
-		}
-		if iMax == 0 {
-			iMax = mMax
-		}
-	}
-
-	// The voltage regulator's reference point: it holds the supply at
-	// exactly nominal for the midpoint current, so workload swings produce
-	// the symmetric over- and under-shoots of the paper's Figures 2 and 6
-	// (an idle machine sits slightly above nominal, a saturated one
-	// slightly below, and transients ring around both).
-	pdnParams := sp.PDN.Params
-	pdnParams.IFloor = 0.5 * (iMin + iMax)
-	net, err := pdn.Calibrate(pdnParams, iMin, iMax, sp.PDN.ImpedancePct)
-	if err != nil {
-		return nil, err
-	}
-
-	noise := sp.Sensor.NoiseMV * 1e-3
-	sen, err := sensor.New(sp.Sensor.DelayCycles, noise, sp.Seed.Resolve(0))
-	if err != nil {
-		return nil, err
-	}
-
 	s := &System{
-		opts:   opts,
-		spec:   sp,
-		CPU:    c,
-		Power:  pm,
-		Net:    net,
-		Sim:    net.NewSimulator(),
-		Sensor: sen,
-		minV:   math.Inf(1),
-		maxV:   math.Inf(-1),
-		hist:   stats.NewHistogram(0.90, 1.10, 200),
-		iMin:   iMin,
-		iMax:   iMax,
+		opts:    opts,
+		spec:    sp,
+		CPU:     c,
+		Power:   power.New(sp.Power, c.Config()),
+		hist:    stats.NewHistogram(0.90, 1.10, 200),
+		dvsRail: -1,
 	}
-
 	s.stream = opts.Telemetry.Stream(opts.TelemetryName)
+	if err := s.buildRails(); err != nil {
+		return nil, err
+	}
 
 	s.responder = opts.Responder
+	var mech actuator.Mechanism
 	if s.responder == nil {
-		mech, err := sp.Mechanism()
-		if err != nil {
+		if mech, err = sp.Mechanism(); err != nil {
 			return nil, err
 		}
 		s.responder = mech
+	} else if len(s.rails) > 1 {
+		// Scoped authority needs the mechanism's unit set (see authority).
+		return nil, fmt.Errorf("core: multi-rail specs do not support code-level responder overrides; use the actuator spec")
 	}
-	s.dvsRail = -1
 	if d := sp.Actuator.DVS; d != nil {
-		// Single-rail DVS: the schedule advances through Respond (one rail,
-		// one sensed level), composed around whatever responder is in place.
 		s.dvs = actuator.NewDVS(s.responder, d.Steps, d.TransitionCycles, d.HoldCycles, d.CurrentExponent)
 		s.responder = s.dvs
-	}
-	if sp.Control.Enabled {
-		// The counting wrapper feeds actuation tallies into the metrics
-		// registry at the end of the run; one plain increment per cycle.
-		s.counting = &actuator.Counting{R: s.responder}
-		s.responder = s.counting
-
-		floor, ceil := s.responder.Envelope(pm)
-		solver := control.NewSolver(net)
-		th, err := solver.Solve(control.Envelope{
-			IMin: iMin, IMax: iMax,
-			Floor: floor, Ceil: ceil,
-			Settle: sp.Control.SettleCycles,
-		}, sp.Sensor.DelayCycles)
-		if err != nil {
-			return nil, err
-		}
-		// Guard-band for sensor error (Section 4.5): raise Low and lower
-		// High by the guard band (defaulting to the noise amplitude) so a
-		// worst-case misreading still triggers in time.
-		guard := sp.Sensor.GuardBandMV * 1e-3
-		if th.Stable {
-			lo, hi := th.Low+guard, th.High-guard
-			if lo >= hi {
-				th.Stable = false
-			} else {
-				th.Low, th.High, th.SafeWindow = lo, hi, hi-lo
+		for i := range s.rails {
+			if d.Rail != "" && s.rails[i].name == d.Rail {
+				s.dvsRail = i
 			}
 		}
-		if !th.Stable {
-			// No guaranteed thresholds exist (e.g. FU-only actuation with
-			// large delay). Run with maximally conservative trip points so
-			// the instability is observable, as in Figure 17.
-			p := net.Params()
-			th.Low = p.VNominal - 0.25*(p.VNominal-net.VMin())
-			th.High = p.VNominal + 0.25*(net.VMax()-p.VNominal)
-			th.SafeWindow = th.High - th.Low
-		}
-		s.thresholds = th
-		if err := s.Sensor.SetThresholds(th.Low, th.High); err != nil {
+	}
+	if !sp.Control.Enabled {
+		return s, nil
+	}
+	// The counting wrapper feeds actuation tallies into the metrics
+	// registry at the end of the run; one plain increment per cycle.
+	s.counting = &actuator.Counting{R: s.responder}
+	s.responder = s.counting
+	for i := range s.rails {
+		if err := s.solve(&s.rails[i], mech); err != nil {
 			return nil, err
 		}
 	}
+	s.thresholds = s.rails[0].th
 	return s, nil
 }
 
@@ -319,19 +243,14 @@ func (s *System) Thresholds() control.Thresholds { return s.thresholds }
 func (s *System) Close() {
 	if s.gsim != nil {
 		// Releases every rail's simulator, including the one aliased by
-		// s.Sim (Release is idempotent).
+		// s.Sim.
 		s.gsim.Release()
 		s.gsim = nil
-		s.Sim = nil
-		return
-	}
-	if s.Sim != nil {
-		s.Sim.Release()
 		s.Sim = nil
 	}
 }
 
-// Envelope returns the calibration current envelope.
+// Envelope returns the chip's calibration current envelope.
 func (s *System) Envelope() (iMin, iMax float64) { return s.iMin, s.iMax }
 
 // Spec returns the resolved run spec the system was built from. Its Key()
@@ -359,46 +278,38 @@ func (s *System) StepCycle() CycleState {
 
 // machineStep advances the machine half of the loop — actuator gating into
 // the core, core activity into the power model — and returns the cycle's
-// activity, load current and completion flag. The PDN convolution and
-// everything downstream of the voltage live in the driver's ingest and
-// control halves.
+// activity, whole-chip load current and completion flag, with each rail's
+// share of the current in railCur (length len(s.rails)), all scaled by the
+// DVS operating point when one is active. Rails partition the delivery
+// scopes, so a lone rail feeds the whole chip and draws the whole current.
+// The PDN convolution and everything downstream of the voltage live in the
+// driver's settle and control halves.
 //
 //didt:hotpath
-func (s *System) machineStep(act *cpu.Activity) (float64, bool) {
+func (s *System) machineStep(act *cpu.Activity, railCur []float64) (float64, bool) {
 	s.CPU.SetGating(s.gating)
 	done := s.CPU.StepInto(act)
 	rep := s.Power.Step(act, s.phantom)
+	scale := 1.0
 	if s.dvs != nil {
-		return rep.Current * s.dvs.CurrentScale(), done
+		scale = s.dvs.CurrentScale()
 	}
-	return rep.Current, done
-}
-
-// ingest records cycle c's voltage on a single-rail system: statistics,
-// traces, and the sensor's delay line. It reads nothing the control half
-// writes, so the driver may run it after later cycles' control halves.
-//
-//didt:hotpath
-func (s *System) ingest(c uint64, current, v float64) {
-	if c >= s.spec.Budget.WarmupCycles {
-		if v < s.minV {
-			s.minV = v
-		}
-		if v > s.maxV {
-			s.maxV = v
-		}
-		if v < s.Net.VMin() || v > s.Net.VMax() {
-			s.emerg++
-		}
-		s.hist.Add(v)
+	total := rep.Current * scale
+	if len(railCur) == 1 {
+		railCur[0] = total
+		return total, done
 	}
-	if s.opts.RecordTraces {
-		s.curTr = append(s.curTr, current) //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
-		s.voltTr = append(s.voltTr, v)     //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
+	s.Power.ScopeCurrents(&rep, s.scopeCur)
+	for i := range railCur {
+		railCur[i] = 0
 	}
-	if s.spec.Control.Enabled {
-		s.Sensor.Push(v)
+	for sc := 0; sc < int(power.NumScopes); sc++ {
+		railCur[s.railOf[sc]] += s.scopeCur[sc]
 	}
+	for i := range railCur {
+		railCur[i] *= scale
+	}
+	return total, done
 }
 
 // emitCycle records this cycle's telemetry: per-cycle voltage and current
@@ -471,11 +382,11 @@ func (s *System) Run() (*Result, error) {
 // telemetry stream is disabled (per-cycle emission is interleaved with
 // stepping). An unkeyed run steps: its trace could never be reused, and
 // stepping settles the same currents in the same blocks without buffering
-// them. Trace-cache entries hold one current per cycle, so multi-rail
-// runs always step.
+// them. Trace-cache entries hold one whole-chip current per cycle, so
+// runs on several rails always step.
 func (s *System) replays() bool {
 	return s.opts.ProgKey != "" &&
-		s.rails == nil &&
+		len(s.rails) == 1 &&
 		!s.spec.Control.Enabled &&
 		s.spec.Control.PessimisticRamp == 0 &&
 		s.opts.Responder == nil &&
@@ -486,29 +397,26 @@ func (s *System) replays() bool {
 // whole-run metrics. Every completion path — stepped and replayed —
 // funnels through here.
 func (s *System) finish(st cpu.Stats, energy float64) *Result {
-	measured := uint64(0)
-	if s.cycle > s.spec.Budget.WarmupCycles {
-		measured = s.cycle - s.spec.Budget.WarmupCycles
-	}
 	r := &Result{
-		Stats:        st,
-		Cycles:       s.cycle,
-		Energy:       energy,
-		IMin:         s.iMin,
-		IMax:         s.iMax,
-		MinV:         s.minV,
-		MaxV:         s.maxV,
-		VNominal:     s.Net.Params().VNominal,
-		Emergencies:  s.emerg,
-		Hist:         s.hist,
-		Thresholds:   s.thresholds,
-		LowEvents:    s.policy.LowEvents,
-		HighEvents:   s.policy.HighEvents,
-		CurrentTrace: s.curTr,
-		VoltageTrace: s.voltTr,
+		Stats:         st,
+		Cycles:        s.cycle,
+		Energy:        energy,
+		IMin:          s.iMin,
+		IMax:          s.iMax,
+		MinV:          math.Inf(1),
+		MaxV:          math.Inf(-1),
+		VNominal:      s.Net.Params().VNominal,
+		Emergencies:   s.emerg,
+		EmergencyFreq: s.emergencyFreq(s.emerg),
+		Hist:          s.hist,
+		Thresholds:    s.thresholds,
+		LowEvents:     s.policy.LowEvents,
+		HighEvents:    s.policy.HighEvents,
+		CurrentTrace:  s.curTr,
+		VoltageTrace:  s.voltTr,
 	}
-	if measured > 0 {
-		r.EmergencyFreq = float64(s.emerg) / float64(measured)
+	for i := range s.rails {
+		r.MinV, r.MaxV = min(r.MinV, s.rails[i].minV), max(r.MaxV, s.rails[i].maxV)
 	}
 	r.Rails = s.railResults()
 	if s.dvs != nil {
@@ -519,6 +427,16 @@ func (s *System) finish(st cpu.Stats, energy float64) *Result {
 	}
 	s.publishMetrics(r)
 	return r
+}
+
+// emergencyFreq is n emergency cycles as a fraction of the post-warmup
+// cycles run, or 0 before any.
+func (s *System) emergencyFreq(n uint64) float64 {
+	warm := s.spec.Budget.WarmupCycles
+	if s.cycle <= warm {
+		return 0
+	}
+	return float64(n) / float64(s.cycle-warm)
 }
 
 // publishMetrics folds the finished run into the process-wide metrics
@@ -536,12 +454,6 @@ func (s *System) publishMetrics(r *Result) {
 	reg.Counter("cpu.gated_cycles_total").Add(int64(r.Stats.GatedCycles))
 	reg.Counter("pdn.modal_cycles_total").Add(int64(s.modalCycles))
 	reg.Counter("pdn.exact_evals_total").Add(int64(s.exactEvals))
-	if s.Sensor != nil {
-		samples, low, high := s.Sensor.Trips()
-		reg.Counter("sensor.samples_total").Add(int64(samples))
-		reg.Counter("sensor.low_trips_total").Add(int64(low))
-		reg.Counter("sensor.high_trips_total").Add(int64(high))
-	}
 	for i := range s.rails {
 		if sen := s.rails[i].sensor; sen != nil {
 			samples, low, high := sen.Trips()

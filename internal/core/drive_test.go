@@ -37,10 +37,6 @@ func stepwise(t *testing.T, sys *System) *Result {
 // sensorTrips lists every sensor's (samples, low, high) counts.
 func sensorTrips(sys *System) [][3]uint64 {
 	var out [][3]uint64
-	if sys.Sensor != nil {
-		a, b, c := sys.Sensor.Trips()
-		out = append(out, [3]uint64{a, b, c})
-	}
 	for i := range sys.rails {
 		if sen := sys.rails[i].sensor; sen != nil {
 			a, b, c := sen.Trips()
@@ -170,7 +166,7 @@ func TestRunMatchesStepwiseAcrossDelays(t *testing.T) {
 
 // TestRunMatchesStepwiseControlVariants covers flush recovery, the
 // pessimistic ramp with and without a controller (the latter at the full
-// block length), DVS on both spines, and trace recording.
+// block length), DVS on one rail and on three, and trace recording.
 func TestRunMatchesStepwiseControlVariants(t *testing.T) {
 	prog := alternator(2000)
 	base := knobs{
@@ -374,16 +370,12 @@ func TestTelemetryStreamRunsOneCycleBlocks(t *testing.T) {
 // pinSensor sets rail 0's sensor thresholds to (lo, hi) and every other
 // rail's to values the supply never reaches.
 func pinSensor(sys *System, lo, hi float64) {
-	sen := sys.Sensor
-	if sys.rails != nil {
-		for i := range sys.rails[1:] {
-			if r := sys.rails[i+1].sensor; r != nil {
-				_ = r.SetThresholds(0, 2)
-			}
+	for i := range sys.rails[1:] {
+		if r := sys.rails[i+1].sensor; r != nil {
+			_ = r.SetThresholds(0, 2)
 		}
-		sen = sys.rails[0].sensor
 	}
-	if err := sen.SetThresholds(lo, hi); err != nil {
+	if err := sys.Sensor.SetThresholds(lo, hi); err != nil {
 		panic(err)
 	}
 }

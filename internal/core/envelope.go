@@ -11,9 +11,9 @@ import (
 )
 
 // envelope is a measured current envelope in amperes. The per-scope
-// breakdown (same probe, same window, same percentile) feeds multi-rail
+// breakdown (same probe, same window, same percentile) feeds scoped-rail
 // calibration; whole-chip iMin/iMax are computed exactly as they always
-// were, so single-rail systems see bit-identical envelopes.
+// were, so whole-chip rails see bit-identical envelopes.
 type envelope struct {
 	iMin, iMax float64
 	scopeMin   [power.NumScopes]float64
@@ -52,7 +52,7 @@ func EnvelopeCacheStats() sim.CacheStats { return envelopeCache.Stats() }
 // to measure cold-start cost).
 func ResetEnvelopeCache() { envelopeCache.Reset() }
 
-// measureEnvelope determines the processor's current envelope the way the
+// probeEnvelope determines the processor's current envelope the way the
 // paper's Figure 13 flow does ("examine the processor power model to find
 // minimum and maximum power values"): the minimum is the all-idle
 // conditional-clock-gated floor, and the maximum is measured by running a
@@ -61,19 +61,10 @@ func ResetEnvelopeCache() { envelopeCache.Reset() }
 // maximum would be unreachable — the 8-wide issue stage cannot light every
 // unit at once — and calibrating the target impedance against an
 // unreachable envelope would make every real workload look artificially
-// tame (and every threshold artificially loose).
-func measureEnvelope(cfg cpu.Config, pp power.Params) (iMin, iMax float64, err error) {
-	env, err := measureEnvelopeScoped(cfg, pp)
-	if err != nil {
-		return 0, 0, err
-	}
-	return env.iMin, env.iMax, nil
-}
-
-// measureEnvelopeScoped returns the full measurement including the
-// per-delivery-scope envelopes multi-rail calibration splits the chip
-// across. Same memo as measureEnvelope — one probe serves both.
-func measureEnvelopeScoped(cfg cpu.Config, pp power.Params) (envelope, error) {
+// tame (and every threshold artificially loose). The same probe also
+// yields the per-delivery-scope envelopes scoped rails are calibrated
+// against.
+func probeEnvelope(cfg cpu.Config, pp power.Params) (envelope, error) {
 	key := envelopeKey{cpu: sim.Fingerprint(cfg), power: sim.Fingerprint(pp)}
 	return envelopeCache.Get(key, func() (envelope, error) {
 		return measureEnvelopeUncached(cfg, pp)

@@ -75,7 +75,7 @@ func (s *System) stepMachine() (*machineRun, error) {
 	mr := &machineRun{currents: make([]float64, 0, s.spec.Budget.MaxCycles)}
 	var act cpu.Activity
 	for mr.cycles < s.spec.Budget.MaxCycles {
-		current, done := s.machineStep(&act)
+		current, done := s.machineStep(&act, s.railCur[:1])
 		mr.currents = append(mr.currents, current)
 		mr.cycles++
 		if done {
@@ -103,24 +103,9 @@ func (s *System) replay() (*Result, error) {
 	exact := s.opts.RecordTraces
 	cur := mr.currents
 	for c := 0; c < len(cur); c += pdn.MaxBlock {
-		s.settle(uint64(c), cur[c:min(c+pdn.MaxBlock, len(cur))], exact)
+		blk := cur[c:min(c+pdn.MaxBlock, len(cur))]
+		s.settle(uint64(c), blk, blk, exact) // one rail: its current is the chip's
 	}
 	s.cycle = mr.cycles
 	return s.finish(mr.stats, mr.energy), nil
-}
-
-// RunBatch runs the given freshly built systems and returns their results
-// in input order: exactly what calling Run on each would return. Every
-// system runs on its own block driver, whose PDN recursion costs O(1) per
-// cycle, so there is no lockstep kernel left to share.
-func RunBatch(systems []*System) ([]*Result, error) {
-	results := make([]*Result, len(systems))
-	for i, s := range systems {
-		r, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("core: lane %d: %w", i, err)
-		}
-		results[i] = r
-	}
-	return results, nil
 }

@@ -81,53 +81,3 @@ func TestOpenLoopTraceCacheReuse(t *testing.T) {
 		t.Fatalf("higher impedance should droop further: %g vs %g", third.MinV, first.MinV)
 	}
 }
-
-// TestRunBatchMatchesSoloRun pins RunBatch's contract: eight closed-loop
-// systems run through it produce exactly the Results of eight solo Runs —
-// including mixed programs, delays and budgets within one call.
-func TestRunBatchMatchesSoloRun(t *testing.T) {
-	progs := []int{300, 250, 300, 280, 300, 250, 280, 300}
-	delays := []int{0, 1, 2, 3, 0, 2, 1, 3}
-	build := func(i int) Options {
-		k := knobs{
-			ImpedancePct: 2, MaxCycles: 40000 + uint64(i)*3000, WarmupCycles: 10000,
-			Control: true, Delay: delays[i], Seed: int64(100 + i),
-		}
-		return k.options()
-	}
-
-	solo := make([]*Result, len(progs))
-	for i := range progs {
-		sys, err := NewSystem(alternator(progs[i]), build(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sys.replays() {
-			t.Fatal("controlled run unexpectedly replayed")
-		}
-		if solo[i], err = sys.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	systems := make([]*System, len(progs))
-	for i := range progs {
-		var err error
-		if systems[i], err = NewSystem(alternator(progs[i]), build(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch, err := RunBatch(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range progs {
-		s, b := solo[i], batch[i]
-		if s.Cycles != b.Cycles || s.Stats != b.Stats ||
-			s.MinV != b.MinV || s.MaxV != b.MaxV ||
-			s.Energy != b.Energy || s.Emergencies != b.Emergencies ||
-			s.LowEvents != b.LowEvents || s.HighEvents != b.HighEvents {
-			t.Fatalf("lane %d diverged from solo run:\nsolo  %+v\nbatch %+v", i, s, b)
-		}
-	}
-}

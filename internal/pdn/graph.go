@@ -134,8 +134,7 @@ func (g *Graph) NewSimulator() *GraphSimulator {
 }
 
 // RailSim exposes rail i's underlying streaming simulator. On an uncoupled
-// graph stepping it directly is equivalent to stepping the graph (the
-// batching engine uses rail 0 of a single-rail graph this way).
+// graph stepping it directly is equivalent to stepping the graph.
 func (s *GraphSimulator) RailSim(i int) *Simulator { return s.sims[i] }
 
 // Step advances every rail one CPU cycle: currents[i] is rail i's load
@@ -158,6 +157,11 @@ func (s *GraphSimulator) Step(currents, volts []float64) {
 //
 //didt:hotpath
 func (s *GraphSimulator) StepBlock(currents, volts []float64) {
+	if len(s.sims) == 1 {
+		// A 1-node graph's cycle-major block is its rail's own block.
+		s.sims[0].StepBlock(currents, volts[:len(currents)])
+		return
+	}
 	s.step(currents, volts, nil)
 }
 
@@ -168,10 +172,15 @@ func (s *GraphSimulator) StepBlock(currents, volts []float64) {
 //
 //didt:hotpath
 func (s *GraphSimulator) StepModal(currents, volts, eps []float64) {
+	if len(s.sims) == 1 {
+		eps[0] = s.sims[0].StepModal(currents, volts[:len(currents)])
+		return
+	}
 	s.step(currents, volts, eps)
 }
 
-// step is StepBlock when eps is nil and StepModal otherwise.
+// step is StepBlock when eps is nil and StepModal otherwise, for a graph
+// of two or more rails.
 //
 //didt:hotpath
 func (s *GraphSimulator) step(currents, volts, eps []float64) {
@@ -208,6 +217,10 @@ func (s *GraphSimulator) step(currents, volts, eps []float64) {
 func (s *GraphSimulator) ExactRail(i int, volts []float64) {
 	n := len(s.sims)
 	sim := s.sims[i]
+	if n == 1 {
+		sim.ExactBlock(volts[:sim.blkLen])
+		return
+	}
 	out := s.out[:sim.blkLen]
 	sim.ExactBlock(out)
 	for j, v := range out {

@@ -229,6 +229,9 @@ func TestRailsValidation(t *testing.T) {
 			s.PDN.Rails[0].Scopes = nil
 			s.PDN.Coupling = []CouplingSpec{{From: "core", To: "core", K: 0.1}}
 		}, "coupling requires at least two rails"},
+		{"envelope override on several rails", func(s *RunSpec) {
+			s.PDN.EnvelopeIMax = 48
+		}, "need a single rail"},
 	}
 	for _, tc := range cases {
 		s := threeRailSpec()
@@ -245,9 +248,16 @@ func TestRailsValidation(t *testing.T) {
 			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
 		}
 	}
-	// And the baseline multi-rail spec itself is valid.
+	// And the baseline multi-rail spec itself is valid, as is a one-rail
+	// spec with envelope overrides (its rail feeds the whole chip).
 	if _, err := threeRailSpec().Resolve(); err != nil {
 		t.Errorf("baseline rails spec invalid: %v", err)
+	}
+	one := RunSpec{}
+	one.PDN.Rails = []RailSpec{{Name: "chip"}}
+	one.PDN.EnvelopeIMin, one.PDN.EnvelopeIMax = 12, 48
+	if _, err := one.Resolve(); err != nil {
+		t.Errorf("one-rail spec with envelope overrides invalid: %v", err)
 	}
 }
 
