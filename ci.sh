@@ -73,10 +73,10 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 # decision edge) equal (==) to a cycle-by-cycle exact StepCycle loop on
 # every Result field, single- and multi-rail, at every sensor delay, with
 # thresholds pinned on observed voltages; the solver's 175-point threshold
-# golden and its edge-placement test; and the modal fuzz target's
-# committed corpus.
+# golden and its edge-placement test; the locality study's five-rail
+# golden; and the modal fuzz target's committed corpus.
 go test -race -count=1 \
-    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
+    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestLocalityGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
     ./internal/experiments ./internal/core ./internal/control ./internal/pdn
 
 # Modal fuzzing: random networks and current traces; every modal estimate
