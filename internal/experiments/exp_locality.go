@@ -7,11 +7,102 @@ import (
 
 	"didt/internal/core"
 	"didt/internal/cpu"
+	"didt/internal/pdn"
 	"didt/internal/power"
-	"didt/internal/quadrant"
 	"didt/internal/report"
 	"didt/internal/telemetry"
 )
+
+// numQuadrants is the floorplan partition size.
+const numQuadrants = 4
+
+// quadrantNames are the floorplan partition, in row order.
+var quadrantNames = [numQuadrants]string{"front-end", "execute", "memory", "window"}
+
+// Local grid calibration: local grids resonate at the top of the paper's
+// troublesome 50-200 MHz band, local droop is allotted 0.4 of the chip's
+// tolerance budget, and the grids are sized at the chip network's 200%
+// impedance.
+const (
+	localResonantHz = 150e6
+	localShare      = 0.4
+	localImpedance  = 2
+)
+
+// unitQuadrant maps a power-model unit to its quadrant, or -1 for the
+// clock tree, whose power is split evenly across the quadrants (power's
+// scope partition puts the clock in uncore instead).
+func unitQuadrant(u power.Unit) int {
+	switch u {
+	case power.UnitFetch, power.UnitBpred, power.UnitL1I, power.UnitRename:
+		return 0 // front-end
+	case power.UnitIntALU, power.UnitIntMult, power.UnitFPALU, power.UnitFPMult, power.UnitRegFile:
+		return 1 // execute
+	case power.UnitL1D, power.UnitLSQ, power.UnitL2:
+		return 2 // memory
+	case power.UnitWindow, power.UnitResultBus:
+		return 3 // window
+	}
+	return -1
+}
+
+// splitQuadrants sums per-unit power into the quadrants.
+func splitQuadrants(perUnit *[power.NumUnits]float64) (q [numQuadrants]float64) {
+	for u, p := range perUnit {
+		if i := unitQuadrant(power.Unit(u)); i >= 0 {
+			q[i] += p
+			continue
+		}
+		for i := range q {
+			q[i] += p / numQuadrants
+		}
+	}
+	return q
+}
+
+// localitySupply builds the study's rail graph: rail 0 is the chip
+// network global, then one local grid per quadrant, calibrated on the
+// quadrant's share of the chip envelope [iMin, iMax] by unit peak power.
+func localitySupply(global *pdn.Network, peaks *[power.NumUnits]float64, iMin, iMax float64) (*pdn.Graph, error) {
+	gp := global.Params()
+	var total float64
+	for _, p := range peaks {
+		total += p
+	}
+	rails := []pdn.Rail{{Name: "global", Net: global}}
+	for q, peak := range splitQuadrants(peaks) {
+		qMin, qMax := iMin*peak/total, iMax*peak/total
+		net, err := pdn.Calibrate(pdn.Params{
+			ResonantHz:   localResonantHz,
+			DCResistance: gp.DCResistance, // same metal class
+			Tolerance:    gp.Tolerance * localShare,
+			VNominal:     gp.VNominal,
+			IFloor:       0.5 * (qMin + qMax),
+			ClockHz:      gp.ClockHz,
+		}, qMin, qMax, localImpedance)
+		if err != nil {
+			return nil, fmt.Errorf("locality: %s: %w", quadrantNames[q], err)
+		}
+		rails = append(rails, pdn.Rail{Name: quadrantNames[q], Net: net})
+	}
+	return pdn.NewGraph(rails, nil)
+}
+
+// stepSupply advances the supply one cycle on rep's power, writing the
+// chip-wide voltage to volts[0] and quadrant q's to volts[1+q]: the
+// nominal rail minus the global droop minus the local droop.
+func stepSupply(gs *pdn.GraphSimulator, rep *power.CycleReport, vNom float64, volts *[1 + numQuadrants]float64) {
+	var cur [1 + numQuadrants]float64
+	cur[0] = rep.Current
+	for q, p := range splitQuadrants(&rep.PerUnit) {
+		cur[1+q] = p / vNom
+	}
+	gs.Step(cur[:], volts[:])
+	g := volts[0]
+	for q := 1; q < len(volts); q++ {
+		volts[q] = vNom - (vNom - g) - (vNom - volts[q])
+	}
+}
 
 // LocalityRow summarizes one quadrant under the localized PDN model.
 type LocalityRow struct {
@@ -32,38 +123,54 @@ type LocalityResult struct {
 	VMin, VMax        float64
 }
 
-// Locality runs the stressmark through the quadrant-level PDN model.
+// Locality runs the stressmark through the quadrant-level PDN model, the
+// paper's final future-work item (Section 6): "improving the locality at
+// which we model dI/dt effects. Local power supply swings in different
+// chip quadrants can be an important issue to consider, in addition to
+// the more global effects."
+//
+// The supply is one uncoupled rail graph: the chip's own network (the
+// package, driven by total chip current) plus one smaller network per
+// floorplan quadrant (the local grid segment feeding that region, driven
+// by the quadrant's own current). A quadrant sees the nominal rail minus
+// both droops. The local grids expose emergencies a uniform model
+// averages away: a quadrant whose units swing together dips further than
+// the chip-wide mean.
 func Locality(cfg Config) (*LocalityResult, error) {
 	cfg = cfg.withDefaults()
 	return memoized("locality", cfg, func() (*LocalityResult, error) {
-		prog := cfg.stressProgram()
-		// Use a plain system to get the measured envelope and drive the
-		// machine; the quadrant model taps the per-cycle power report.
-		sys, err := core.NewSystem(prog, cfg.baseOptions(2))
+		// The system supplies the measured envelope, the chip network and
+		// the machine; the loop below steps the machine itself so every
+		// cycle's per-unit power reaches the quadrant grids.
+		sys, err := core.NewSystem(cfg.stressProgram(), cfg.baseOptions(2))
 		if err != nil {
 			return nil, err
 		}
+		defer sys.Close()
 		iMin, iMax := sys.Envelope()
-		qm, err := quadrant.New(quadrant.Params{ImpedancePct: 2}, sys.Power, iMin, iMax)
+		peaks := sys.Power.Params().Peak
+		supply, err := localitySupply(sys.Net, &peaks, iMin, iMax)
 		if err != nil {
 			return nil, err
 		}
-		vMin, vMax := qm.Band()
+		gs := supply.NewSimulator()
+		defer gs.Release()
+		// The emergency band is the chip network's: the logic does not
+		// care which grid segment sagged.
+		vNom, vMin, vMax := sys.Net.Params().VNominal, sys.Net.VMin(), sys.Net.VMax()
 		r := &LocalityResult{Workload: "stressmark", VMin: vMin, VMax: vMax, GlobalMinV: math.Inf(1), GlobalMaxV: math.Inf(-1)}
-		rows := make([]LocalityRow, quadrant.NumQuadrants)
+		rows := make([]LocalityRow, numQuadrants)
 		for q := range rows {
-			rows[q] = LocalityRow{Quadrant: quadrant.Quadrant(q).String(), MinV: math.Inf(1), MaxV: math.Inf(-1)}
+			rows[q] = LocalityRow{Quadrant: quadrantNames[q], MinV: math.Inf(1), MaxV: math.Inf(-1)}
 		}
-		// Re-run the machine manually so every cycle's PerUnit report is
-		// visible to the quadrant model.
-		c := sys.CPU
-		pm := power.New(power.Params{}, c.Config())
 		stream := cfg.Telemetry.Stream("locality quadrants")
 		var act cpu.Activity
+		var volts [1 + numQuadrants]float64
 		for i := uint64(0); i < cfg.Cycles; i++ {
-			done := c.StepInto(&act)
-			rep := pm.Step(&act, power.Phantom{})
-			g, locals := qm.CycleVoltages(rep)
+			done := sys.CPU.StepInto(&act)
+			rep := sys.Power.Step(&act, power.Phantom{})
+			stepSupply(gs, &rep, vNom, &volts)
+			g, locals := volts[0], volts[1:]
 			if stream.Enabled() {
 				stream.Emit(i, telemetry.KindVoltage, 0, g)
 				for q, v := range locals {

@@ -8,6 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"didt/internal/cpu"
+	"didt/internal/isa"
+	"didt/internal/pdn"
+	"didt/internal/power"
 )
 
 var updateLocality = flag.Bool("update", false, "rewrite testdata/locality.golden")
@@ -62,5 +67,140 @@ func TestLocalityGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("locality differs from golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// newLocalitySupply builds the study's supply for the default power model
+// on an 11-50 A chip envelope.
+func newLocalitySupply(t *testing.T) (*pdn.Graph, *power.Model) {
+	t.Helper()
+	pm := power.New(power.Params{}, cpu.DefaultConfig())
+	global, err := pdn.Calibrate(pdn.Params{IFloor: 30.5}, 11, 50, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := pm.Params().Peak
+	g, err := localitySupply(global, &peaks, 11, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, pm
+}
+
+// stepLocality advances the supply one cycle on rep's power and returns
+// the chip-wide voltage and each quadrant's.
+func stepLocality(gs *pdn.GraphSimulator, rep power.CycleReport, vNom float64) (float64, []float64) {
+	var volts [1 + numQuadrants]float64
+	stepSupply(gs, &rep, vNom, &volts)
+	return volts[0], volts[1:]
+}
+
+func TestUnitQuadrantPartition(t *testing.T) {
+	var counts [numQuadrants]int
+	distributed := 0
+	for u := power.Unit(0); u < power.NumUnits; u++ {
+		if q := unitQuadrant(u); q >= 0 {
+			counts[q]++
+		} else {
+			distributed++
+		}
+	}
+	if distributed != 1 || unitQuadrant(power.UnitClock) >= 0 {
+		t.Errorf("expected exactly the clock tree to be distributed, got %d units", distributed)
+	}
+	for q, n := range counts {
+		if n == 0 {
+			t.Errorf("quadrant %s has no units", quadrantNames[q])
+		}
+	}
+}
+
+func TestQuadrantNames(t *testing.T) {
+	g, _ := newLocalitySupply(t)
+	want := []string{"global", "front-end", "execute", "memory", "window"}
+	if g.Size() != len(want) {
+		t.Fatalf("supply has %d rails, want %d", g.Size(), len(want))
+	}
+	for i, name := range want {
+		if got := g.Rail(i).Name; got != name {
+			t.Errorf("rail %d named %q, want %q", i, got, name)
+		}
+	}
+}
+
+func TestQuiescentVoltagesNearNominal(t *testing.T) {
+	g, pm := newLocalitySupply(t)
+	gs := g.NewSimulator()
+	defer gs.Release()
+	// Idle cycles: every voltage sits near (slightly above) nominal, since
+	// idle current is below each regulator reference.
+	for i := 0; i < 500; i++ {
+		v, locals := stepLocality(gs, pm.Step(&cpu.Activity{}, power.Phantom{}), 1)
+		if v < 0.99 || v > 1.05 {
+			t.Fatalf("cycle %d: global voltage %g implausible", i, v)
+		}
+		for q, lv := range locals {
+			if lv < 0.98 || lv > 1.06 {
+				t.Fatalf("cycle %d: quadrant %s voltage %g implausible", i, quadrantNames[q], lv)
+			}
+		}
+	}
+}
+
+func TestLocalSwingExceedsGlobalForClusteredActivity(t *testing.T) {
+	g, pm := newLocalitySupply(t)
+	gs := g.NewSimulator()
+	defer gs.Release()
+	cfg := cpu.DefaultConfig()
+	// Alternate every half resonant period of the local grid between an
+	// execution-heavy burst and idle: the execute quadrant must see deeper
+	// dips than the chip-wide voltage indicates.
+	period := int(pdn.DefaultClockHz / localResonantHz) // 20 cycles
+	minGlobal, minExec := 2.0, 2.0
+	for i := 0; i < 4000; i++ {
+		var act cpu.Activity
+		if i%period < period/2 {
+			act.Issued = cfg.IssueWidth
+			act.IssuedByClass[isa.ClassIntALU] = cfg.IntALU
+			act.IssuedByClass[isa.ClassFPAdd] = cfg.FPALU
+			act.RegReads = 16
+			act.RegWrites = 8
+		}
+		v, locals := stepLocality(gs, pm.Step(&act, power.Phantom{}), 1)
+		if i < 1000 {
+			continue // build up
+		}
+		minGlobal = math.Min(minGlobal, v)
+		minExec = math.Min(minExec, locals[1])
+	}
+	if minExec >= minGlobal {
+		t.Errorf("execute-quadrant dip %.4f should undercut the global dip %.4f", minExec, minGlobal)
+	}
+}
+
+func TestBandMatchesGlobal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the stressmark")
+	}
+	r, err := Locality(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The chip network keeps the full tolerance; the local grids get only
+	// localShare of it, so their band would be narrower.
+	lo, hi := pdn.DefaultVNominal*(1-pdn.DefaultTolerance), pdn.DefaultVNominal*(1+pdn.DefaultTolerance)
+	if r.VMin != lo || r.VMax != hi {
+		t.Errorf("band [%g, %g] must be the chip network's [%g, %g]", r.VMin, r.VMax, lo, hi)
+	}
+}
+
+func TestBadEnvelopeRejected(t *testing.T) {
+	global, err := pdn.Calibrate(pdn.Params{IFloor: 30.5}, 11, 50, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := power.DefaultUnitPowers()
+	if _, err := localitySupply(global, &peaks, 50, 11); err == nil {
+		t.Error("want error for inverted envelope")
 	}
 }
