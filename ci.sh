@@ -97,7 +97,7 @@ go test -race -count=1 \
 # its block form on one rail and on the coupled graph, the modal block
 # step that every engine run — open and closed loop — takes, batched SoA
 # step, and the threshold solver's probe cycle loop) plus the FFT block
-# convolution, which now serves offline whole-trace analysis only, must
+# convolution, which now serves only perfbench's pdn.fft layer row, must
 # stay allocation-free. A heap allocation per call adds garbage-collector
 # work to every simulated cycle; the kernels themselves cost ~700 ns/cycle
 # for the exact streaming step on the bench host, ~15 ns/cycle for the

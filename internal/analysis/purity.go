@@ -26,7 +26,6 @@ var defaultPurityRoots = []PurityRoot{
 	{Pkg: "didt/internal/core", Recv: "System", Name: "Run", Label: "core.System.Run"},
 	{Pkg: "didt/internal/pdn", Recv: "Network", Name: "ConvolveVoltages", Label: "pdn.ConvolveVoltages"},
 	{Pkg: "didt/internal/pdn", Recv: "GraphSimulator", Name: "Step", Label: "pdn.GraphSimulator.Step"},
-	{Pkg: "didt/internal/pdn", Recv: "Graph", Name: "ConvolveVoltages", Label: "pdn.Graph.ConvolveVoltages"},
 	{Pkg: "didt/internal/spec", Recv: "RunSpec", Name: "Key", Label: "spec.Key"},
 	{Pkg: "didt/internal/experiments", Recv: "", Name: "Registry", Label: "experiments.Registry"},
 	{Pkg: "didt/internal/store", Recv: "", Name: "EncodeEntry", Label: "store.EncodeEntry"},

@@ -10,7 +10,6 @@ import (
 	"didt/internal/pdn"
 	"didt/internal/report"
 	"didt/internal/spec"
-	"didt/internal/trace"
 )
 
 // The multi-rail experiment family exercises the rail-graph PDN of
@@ -196,21 +195,27 @@ func RailsResonance(cfg Config) (*RailsResonanceResult, error) {
 				if p < 2 {
 					p = 2
 				}
-				n := victim.KernelLen() + 12*period
-				cur := [][]float64{make(trace.Trace, n), make(trace.Trace, n)}
-				for i := 0; i < n; i++ {
-					cur[0][i] = aLow
-					if i%p < p/2 {
-						cur[0][i] = aHigh
+				// Cycle-major (aggressor, victim) pairs, stepped MaxBlock
+				// cycles at a time.
+				n := 2 * (victim.KernelLen() + 12*period)
+				cur, volts := make([]float64, n), make([]float64, n)
+				for i := 0; i < n; i += 2 {
+					cur[i] = aLow
+					if i/2%p < p/2 {
+						cur[i] = aHigh
 					}
-					cur[1][i] = victim.Params().IFloor // quiescent victim
+					cur[i+1] = victim.Params().IFloor // quiescent victim
 				}
-				volts := [][]float64{make([]float64, n), make([]float64, n)}
-				graph.ConvolveVoltages(volts, cur)
+				gs := graph.NewSimulator()
+				for i := 0; i < n; i += 2 * pdn.MaxBlock {
+					j := min(i+2*pdn.MaxBlock, n)
+					gs.StepBlock(cur[i:j], volts[i:j])
+				}
+				gs.Release()
 				droop := 0.0
 				vn := victim.Params().VNominal
-				for _, v := range volts[1] {
-					droop = math.Max(droop, vn-v)
+				for i := 1; i < n; i += 2 {
+					droop = math.Max(droop, vn-volts[i])
 				}
 				row[si] = droop * 1e3
 			}

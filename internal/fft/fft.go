@@ -2,10 +2,9 @@
 // overlap-save block convolver built on it. It exists for one job: turning
 // the O(cycles x taps) open-loop PDN convolution into
 // O(cycles log taps) when the whole current trace is known up front
-// (Network.VoltageTrace, envelope characterization, offline analysis).
-// The closed feedback loop never uses it — there the next input depends on
-// the previous output, so the streaming per-tap convolution in
-// internal/pdn remains the reference implementation.
+// (Network.ConvolveVoltages). No simulation or experiment uses it: the
+// engine and Network.VoltageTrace step the exact streaming kernels in
+// internal/pdn, so it serves the benchmark harness's FFT layer row.
 //
 // Everything here is stdlib-only and allocation-free on the hot path: a
 // Plan precomputes twiddle factors and the bit-reversal permutation for

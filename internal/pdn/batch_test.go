@@ -6,21 +6,21 @@ import (
 	"testing"
 )
 
-// TestPeekMatchesNaiveReference pins the shared dotRing walk against an
-// inline naive convolution that tests for wrap at every tap, at several
-// ring positions including pos == 0 (where Peek's history walk starts on
-// the wrapped half). This is the regression test for deduplicating Peek's
-// hand-copied ring walk with Step.
-func TestPeekMatchesNaiveReference(t *testing.T) {
+// TestStepMatchesNaiveReference pins the shared dotRing walk against an
+// inline naive convolution that tests for wrap at every tap, over more
+// than two trips round the ring, so the walk starts at every ring position
+// including slot 0 (where it wraps after the first tap). Step and Exact
+// both take the walk; both must equal the naive sum.
+func TestStepMatchesNaiveReference(t *testing.T) {
 	n := mustCalibrated(t, 2)
 	k := n.kernel
 	sim := n.NewSimulator()
-	naive := func(current float64) float64 {
-		// Kernel tap 0 multiplies the candidate sample; tap i the sample
-		// written i cycles ago.
-		drop := k[0] * (current - n.params.IFloor)
-		for i := 1; i < len(k); i++ {
-			idx := sim.pos - i
+	naive := func() float64 {
+		// Kernel tap i multiplies the sample written i cycles ago; the
+		// newest sits just before pos.
+		drop := 0.0
+		for i := 0; i < len(k); i++ {
+			idx := sim.pos - 1 - i
 			if idx < 0 {
 				idx += ringLen(len(k))
 			}
@@ -29,19 +29,16 @@ func TestPeekMatchesNaiveReference(t *testing.T) {
 		return n.params.VNominal - drop
 	}
 	rng := rand.New(rand.NewSource(11))
-	for c := 0; c < 2*len(k)+10; c++ {
-		probe := 10 + 50*rng.Float64()
-		want := naive(probe)
-		if got := sim.Peek(probe); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("cycle %d (pos %d): Peek=%g naive=%g", c, sim.pos, probe, want)
+	for c := 0; c < 2*ringLen(len(k))+10; c++ {
+		first := sim.pos
+		got := sim.Step(10 + 50*rng.Float64())
+		want := naive()
+		if got != want {
+			t.Fatalf("cycle %d (first slot %d): Step=%g naive=%g", c, first, got, want)
 		}
-		if sim.pos == 0 {
-			// Exercise the all-wrapped walk explicitly.
-			if got := sim.Peek(probe); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("pos=0: Peek=%g naive=%g", got, want)
-			}
+		if ex := sim.Exact(0); ex != want {
+			t.Fatalf("cycle %d (first slot %d): Exact=%g naive=%g", c, first, ex, want)
 		}
-		sim.Step(10 + 50*rng.Float64())
 	}
 }
 
@@ -171,8 +168,8 @@ func TestBatchSimulatorBitIdentical(t *testing.T) {
 func TestHotPathsZeroAlloc(t *testing.T) {
 	n := mustCalibrated(t, 2)
 	sim := n.NewSimulator()
-	if a := testing.AllocsPerRun(100, func() { sim.Step(40); sim.Peek(55) }); a != 0 {
-		t.Errorf("Simulator.Step/Peek allocate %v per run; want 0", a)
+	if a := testing.AllocsPerRun(100, func() { sim.Step(40); sim.Exact(0) }); a != 0 {
+		t.Errorf("Simulator.Step/Exact allocate %v per run; want 0", a)
 	}
 	b := n.NewBatchSimulator(8)
 	currents := make([]float64, 8)

@@ -85,7 +85,7 @@ func dotChains(k, h []float64, ring, first int, out []float64) {
 	switch len(out) {
 	case 0:
 	case 1:
-		out[0] = dotRing(0, k, h[:ring], 0, first)
+		out[0] = dotRing(k, h[:ring], first)
 	case 2:
 		out[0], out[1] = dot2(k, h, ring, first)
 	case 3:

@@ -54,9 +54,6 @@ func TestStepBlockMixedLengths(t *testing.T) {
 			}
 		}
 		c += b
-		if probe := 10 + 50*rng.Float64(); blk.Peek(probe) != ref.Peek(probe) {
-			t.Fatalf("cycle %d: Peek diverged", c)
-		}
 	}
 }
 

@@ -8,11 +8,10 @@
 // so rail i's voltage is V_i[n] = Vnom_i - sum_k h_i[k]*(eff_i[n-k] -
 // IFloor_i). With every rail at its floor the injected transients vanish
 // and all rails sit at nominal, exactly like the quiescent single-rail
-// network. The single-rail Network is the 1-node graph (SingleRail), and
-// on that degenerate graph — or any graph with an all-zero matrix — the
-// step and block-convolution paths delegate straight to the underlying
-// Network, so the output is bit-identical (`==`) to using the Network
-// directly, not merely close.
+// network. The single-rail Network is the 1-node graph, and on that
+// degenerate graph — or any graph with an all-zero matrix — each rail's
+// step delegates straight to its Network's Simulator, so the output is
+// bit-identical (`==`) to using the Network directly, not merely close.
 package pdn
 
 import "fmt"
@@ -30,7 +29,6 @@ type Graph struct {
 	rails    []Rail
 	coupling [][]float64 // coupling[to][from]; nil when the graph is uncoupled
 	floors   []float64   // per-rail IFloor, hoisted out of the step loop
-	coupled  bool        // any nonzero off-diagonal coefficient
 }
 
 // NewGraph builds a rail graph. coupling may be nil (independent rails) or
@@ -75,25 +73,11 @@ func NewGraph(rails []Rail, coupling [][]float64) (*Graph, error) {
 				return nil, fmt.Errorf("pdn: coupling %q<-%q coefficient %g outside [0,1)", rails[i].Name, rails[j].Name, k)
 			}
 			if k != 0 {
-				g.coupled = true
+				g.coupling = coupling
 			}
 		}
 	}
-	if g.coupled {
-		g.coupling = coupling
-	}
 	return g, nil
-}
-
-// SingleRail wraps an existing Network as the 1-node graph; every caller
-// of the graph path sees identical behaviour to using the Network alone.
-func SingleRail(net *Network) *Graph {
-	g, err := NewGraph([]Rail{{Name: "core", Net: net}}, nil)
-	if err != nil {
-		// Unreachable: one named rail with a non-nil network always passes.
-		panic(err)
-	}
-	return g
 }
 
 // Size reports the number of rails.
@@ -102,13 +86,10 @@ func (g *Graph) Size() int { return len(g.rails) }
 // Rail returns rail i.
 func (g *Graph) Rail(i int) Rail { return g.rails[i] }
 
-// Coupled reports whether any cross-coupling coefficient is nonzero.
-func (g *Graph) Coupled() bool { return g.coupled }
-
 // CouplingInto returns a copy of row i of the coupling matrix (the
 // coefficients of what rail i receives), or nil for an uncoupled graph.
 func (g *Graph) CouplingInto(i int) []float64 {
-	if !g.coupled {
+	if g.coupling == nil {
 		return nil
 	}
 	return append([]float64(nil), g.coupling[i]...)
@@ -236,7 +217,7 @@ func (s *GraphSimulator) ExactRail(i int, volts []float64) {
 //didt:hotpath
 func (s *GraphSimulator) effective(currents []float64, b int) []float64 {
 	g := s.g
-	if !g.coupled {
+	if g.coupling == nil {
 		return currents
 	}
 	n := len(s.sims)
@@ -272,35 +253,5 @@ func (s *GraphSimulator) Reset() {
 func (s *GraphSimulator) Release() {
 	for _, sim := range s.sims {
 		sim.Release()
-	}
-}
-
-// ConvolveVoltages computes every rail's voltage for entire current traces
-// at once: currents[i] and dst[i] are rail i's input and output (dst[i]
-// must have length >= len(currents[i])). Uncoupled rails pass their trace
-// straight to Network.ConvolveVoltages — byte-identical to the single-rail
-// open-loop path — while coupled rails first materialize the effective
-// input trace. Rails may have different trace lengths only when uncoupled;
-// coupling requires equal lengths.
-func (g *Graph) ConvolveVoltages(dst, currents [][]float64) {
-	if !g.coupled {
-		for i, r := range g.rails {
-			r.Net.ConvolveVoltages(dst[i], currents[i])
-		}
-		return
-	}
-	for i, r := range g.rails {
-		eff := make([]float64, len(currents[i]))
-		copy(eff, currents[i])
-		for j, k := range g.coupling[i] {
-			if k == 0 {
-				continue
-			}
-			floor := g.floors[j]
-			for n, cj := range currents[j] {
-				eff[n] += k * (cj - floor)
-			}
-		}
-		r.Net.ConvolveVoltages(dst[i], eff)
 	}
 }

@@ -13,7 +13,10 @@ func graphCurrent(i int) float64 {
 // must produce the exact bits of a bare Simulator.
 func TestSingleRailGraphBitIdenticalStep(t *testing.T) {
 	n := mustCalibrated(t, 2)
-	g := SingleRail(n)
+	g, err := NewGraph([]Rail{{Name: "chip", Net: n}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gs := g.NewSimulator()
 	ref := n.NewSimulator()
 	cur := make([]float64, 1)
@@ -27,29 +30,6 @@ func TestSingleRailGraphBitIdenticalStep(t *testing.T) {
 	}
 	gs.Release()
 	ref.Release()
-}
-
-// TestSingleRailGraphBitIdenticalConvolve: the 1-node graph's block path
-// must delegate to Network.ConvolveVoltages on both the streaming branch
-// (trace shorter than the kernel) and the FFT branch (trace longer).
-func TestSingleRailGraphBitIdenticalConvolve(t *testing.T) {
-	n := mustCalibrated(t, 2)
-	g := SingleRail(n)
-	for _, length := range []int{n.KernelLen() / 2, 4 * n.KernelLen()} {
-		cur := make([]float64, length)
-		for i := range cur {
-			cur[i] = graphCurrent(i)
-		}
-		want := make([]float64, length)
-		n.ConvolveVoltages(want, cur)
-		got := make([]float64, length)
-		g.ConvolveVoltages([][]float64{got}, [][]float64{cur})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("len %d cycle %d: graph %v != network %v", length, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // TestTwoRailZeroCouplingIndependent: with no coupling — nil matrix or an
@@ -70,7 +50,7 @@ func TestTwoRailZeroCouplingIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Coupled() {
+		if g.CouplingInto(0) != nil {
 			t.Fatal("zero matrix must not mark the graph coupled")
 		}
 		gs := g.NewSimulator()
@@ -80,10 +60,12 @@ func TestTwoRailZeroCouplingIndependent(t *testing.T) {
 		volts := make([]float64, 2)
 		traceA := make([]float64, 400)
 		traceB := make([]float64, 400)
+		both := make([]float64, 800) // cycle-major (a, b) pairs
 		for i := 0; i < 400; i++ {
 			cur[0] = graphCurrent(i)
 			cur[1] = 5 + 20*math.Abs(math.Cos(float64(i)/11))
 			traceA[i], traceB[i] = cur[0], cur[1]
+			both[2*i], both[2*i+1] = cur[0], cur[1]
 			gs.Step(cur, volts)
 			if wa, wb := ra.Step(cur[0]), rb.Step(cur[1]); volts[0] != wa || volts[1] != wb {
 				t.Fatalf("cycle %d: graph (%v,%v) != independent (%v,%v)", i, volts[0], volts[1], wa, wb)
@@ -92,12 +74,17 @@ func TestTwoRailZeroCouplingIndependent(t *testing.T) {
 		gs.Release()
 		ra.Release()
 		rb.Release()
-		da, db := make([]float64, 400), make([]float64, 400)
-		g.ConvolveVoltages([][]float64{da, db}, [][]float64{traceA, traceB})
+		gs = g.NewSimulator()
+		block := make([]float64, len(both))
+		for i := 0; i < len(both); i += 2 * MaxBlock {
+			j := min(i+2*MaxBlock, len(both))
+			gs.StepBlock(both[i:j], block[i:j])
+		}
+		gs.Release()
 		wa, wb := a.VoltageTrace(traceA), b.VoltageTrace(traceB)
-		for i := range da {
-			if da[i] != wa[i] || db[i] != wb[i] {
-				t.Fatalf("block cycle %d: graph (%v,%v) != independent (%v,%v)", i, da[i], db[i], wa[i], wb[i])
+		for i := range wa {
+			if block[2*i] != wa[i] || block[2*i+1] != wb[i] {
+				t.Fatalf("block cycle %d: graph (%v,%v) != independent (%v,%v)", i, block[2*i], block[2*i+1], wa[i], wb[i])
 			}
 		}
 	}
@@ -165,42 +152,6 @@ func TestCoupledQuiescence(t *testing.T) {
 		gs.Step(cur, volts)
 		if math.Abs(volts[0]-1) > 1e-12 || math.Abs(volts[1]-1) > 1e-12 {
 			t.Fatalf("cycle %d: quiescent V=(%g,%g), want 1.0", i, volts[0], volts[1])
-		}
-	}
-}
-
-// TestCoupledConvolveMatchesStreaming: the coupled block path must agree
-// with the coupled streaming path to the same 1e-9 V the single-rail FFT
-// convolver guarantees.
-func TestCoupledConvolveMatchesStreaming(t *testing.T) {
-	a := mustCalibrated(t, 2)
-	b := mustCalibrated(t, 2)
-	g, err := NewGraph(
-		[]Rail{{Name: "a", Net: a}, {Name: "b", Net: b}},
-		[][]float64{{0, 0.2}, {0.4, 0}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	length := 3 * a.KernelLen()
-	traces := [][]float64{make([]float64, length), make([]float64, length)}
-	for i := 0; i < length; i++ {
-		traces[0][i] = graphCurrent(i)
-		traces[1][i] = 10 + 30*math.Abs(math.Cos(float64(i)/13))
-	}
-	block := [][]float64{make([]float64, length), make([]float64, length)}
-	g.ConvolveVoltages(block, traces)
-	gs := g.NewSimulator()
-	defer gs.Release()
-	cur := make([]float64, 2)
-	volts := make([]float64, 2)
-	for i := 0; i < length; i++ {
-		cur[0], cur[1] = traces[0][i], traces[1][i]
-		gs.Step(cur, volts)
-		for rail := 0; rail < 2; rail++ {
-			if math.Abs(volts[rail]-block[rail][i]) > 1e-9 {
-				t.Fatalf("cycle %d rail %d: streaming %.12g vs block %.12g", i, rail, volts[rail], block[rail][i])
-			}
 		}
 	}
 }

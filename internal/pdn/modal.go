@@ -227,7 +227,7 @@ func (s *Simulator) Exact(j int) float64 {
 	if idx >= ring {
 		idx -= ring
 	}
-	return s.net.params.VNominal - dotRing(0, s.net.kernel, s.hist[:ring], 0, idx)
+	return s.net.params.VNominal - dotRing(s.net.kernel, s.hist[:ring], idx)
 }
 
 // ExactBlock overwrites volts[:n], n the last block's length, with the

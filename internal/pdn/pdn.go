@@ -210,12 +210,18 @@ func (n *Network) ResonantPeriodCycles() int {
 func (n *Network) VMin() float64 { return n.params.VNominal * (1 - n.params.Tolerance) }
 func (n *Network) VMax() float64 { return n.params.VNominal * (1 + n.params.Tolerance) }
 
-// VoltageTrace convolves an entire current trace (amperes per cycle) and
-// returns the per-cycle supply voltage. It is a convenience for offline
-// analysis; closed-loop simulation uses Simulator.
+// VoltageTrace returns the per-cycle supply voltage for an entire current
+// trace (amperes per cycle), starting quiescent. It steps a fresh
+// Simulator MaxBlock cycles at a time, so every sample is == to calling
+// Step on each current in turn.
 func (n *Network) VoltageTrace(current []float64) []float64 {
 	out := make([]float64, len(current))
-	n.ConvolveVoltages(out, current)
+	s := n.NewSimulator()
+	for i := 0; i < len(current); i += MaxBlock {
+		j := min(i+MaxBlock, len(current))
+		s.StepBlock(current[i:j], out[i:j])
+	}
+	s.Release()
 	return out
 }
 
@@ -238,7 +244,8 @@ type fftWork struct {
 // need bit-exactness against Step must use a Simulator directly.
 //
 // The history before the trace is quiescent (I = IFloor, V = VNominal),
-// matching a fresh Simulator.
+// matching a fresh Simulator. No simulation or experiment calls it —
+// VoltageTrace steps a Simulator — so it serves the FFT kernel's benchmark.
 func (n *Network) ConvolveVoltages(dst, current []float64) {
 	if len(current) < len(n.kernel) {
 		s := n.NewSimulator()
@@ -361,28 +368,16 @@ func (s *Simulator) Step(current float64) float64 {
 	return out[0]
 }
 
-// Peek returns the voltage that would result if the given current were
-// applied this cycle, without committing it. Controllers use this for
-// lookahead analysis in tests; the closed loop itself never peeks.
+// dotRing returns the convolution sum of the kernel k against the ring
+// buffer h walked backwards from idx (the slot holding the newest sample),
+// wrapping once at the start. The walk is split into its two contiguous
+// halves instead of testing for wrap every tap; the summation order —
+// ascending kernel index, i.e. newest sample first — is the bit-exactness
+// contract Step, StepBlock, Exact and BatchSimulator all share.
 //
 //didt:hotpath
-func (s *Simulator) Peek(current float64) float64 {
-	k := s.net.kernel
-	h := s.hist[:ringLen(len(k))]
-	drop := dotRing(k[0]*(current-s.net.params.IFloor), k, h, 1, s.pos-1)
-	return s.net.params.VNominal - drop
-}
-
-// dotRing accumulates acc + sum of k[i..] against the ring buffer h walked
-// backwards from idx (the slot holding the sample that kernel tap i
-// multiplies), wrapping once at the start. The walk is split into its two
-// contiguous halves instead of testing for wrap every tap; the summation
-// order — ascending kernel index, i.e. newest sample first — is the
-// bit-exactness contract Step, StepBlock, Peek and BatchSimulator all
-// share.
-//
-//didt:hotpath
-func dotRing(acc float64, k, h []float64, i, idx int) float64 {
+func dotRing(k, h []float64, idx int) float64 {
+	acc, i := 0.0, 0
 	for ; idx >= 0 && i < len(k); idx-- {
 		acc += k[i] * h[idx]
 		i++

@@ -156,33 +156,23 @@ func TestOffResonanceWeakerThanResonance(t *testing.T) {
 	}
 }
 
+// TestVoltageTraceMatchesSimulator: a whole trace, shorter than the
+// kernel or several kernels long, is == to stepping it cycle by cycle.
 func TestVoltageTraceMatchesSimulator(t *testing.T) {
 	n := mustCalibrated(t, 2)
-	cur := make([]float64, 300)
-	for i := range cur {
-		cur[i] = 10 + 50*math.Abs(math.Sin(float64(i)/7))
-	}
-	want := n.VoltageTrace(cur)
-	sim := n.NewSimulator()
-	for i, c := range cur {
-		if got := sim.Step(c); got != want[i] {
-			t.Fatalf("cycle %d: Step=%g VoltageTrace=%g", i, got, want[i])
+	for _, length := range []int{300, 4 * n.KernelLen()} {
+		cur := make([]float64, length)
+		for i := range cur {
+			cur[i] = 10 + 50*math.Abs(math.Sin(float64(i)/7))
 		}
-	}
-}
-
-func TestPeekDoesNotAdvance(t *testing.T) {
-	n := mustCalibrated(t, 2)
-	sim := n.NewSimulator()
-	for i := 0; i < 50; i++ {
-		sim.Step(40)
-	}
-	p := sim.Peek(60)
-	if got := sim.Step(60); math.Abs(got-p) > 1e-12 {
-		t.Errorf("Peek=%g then Step=%g; must agree", p, got)
-	}
-	if sim.Cycles() != 51 {
-		t.Errorf("Peek advanced the cycle counter: %d", sim.Cycles())
+		want := n.VoltageTrace(cur)
+		sim := n.NewSimulator()
+		for i, c := range cur {
+			if got := sim.Step(c); got != want[i] {
+				t.Fatalf("len %d cycle %d: Step=%g VoltageTrace=%g", length, i, got, want[i])
+			}
+		}
+		sim.Release()
 	}
 }
 
