@@ -15,7 +15,7 @@ import (
 	"didt/internal/spec"
 )
 
-var updateSpine = flag.Bool("update", false, "rewrite testdata/spine.golden")
+var updateSpine = flag.Bool("update", false, "rewrite testdata/spine.golden and testdata/machine.golden")
 
 type spineCase struct {
 	name string
