@@ -135,6 +135,7 @@ type System struct {
 	// a fresh copy.
 	acts [pdn.MaxBlock]cpu.Activity
 	cur  [pdn.MaxBlock]float64
+	rep  power.CycleReport // the machine step's power report
 
 	// Rail-cycles whose voltages came from the PDN's modal recursion, and
 	// how many of those were re-evaluated exactly (whole-run counters).
@@ -289,17 +290,17 @@ func (s *System) StepCycle() CycleState {
 func (s *System) machineStep(act *cpu.Activity, railCur []float64) (float64, bool) {
 	s.CPU.SetGating(s.gating)
 	done := s.CPU.StepInto(act)
-	rep := s.Power.Step(act, s.phantom)
+	s.Power.StepInto(act, s.phantom, &s.rep)
 	scale := 1.0
 	if s.dvs != nil {
 		scale = s.dvs.CurrentScale()
 	}
-	total := rep.Current * scale
+	total := s.rep.Current * scale
 	if len(railCur) == 1 {
 		railCur[0] = total
 		return total, done
 	}
-	s.Power.ScopeCurrents(&rep, s.scopeCur)
+	s.Power.ScopeCurrents(&s.rep, s.scopeCur)
 	for i := range railCur {
 		railCur[i] = 0
 	}

@@ -92,9 +92,10 @@ func measureEnvelopeUncached(cfg cpu.Config, pp power.Params) (envelope, error) 
 	}
 	scopeCur := make([]float64, power.NumScopes)
 	var act cpu.Activity
+	var rep power.CycleReport
 	for i := 0; i < warmup+window; i++ {
 		done := c.StepInto(&act)
-		rep := pm.Step(&act, power.Phantom{})
+		pm.StepInto(&act, power.Phantom{}, &rep)
 		if i >= warmup {
 			samples = append(samples, rep.Current)
 			pm.ScopeCurrents(&rep, scopeCur)

@@ -165,10 +165,11 @@ func Locality(cfg Config) (*LocalityResult, error) {
 		}
 		stream := cfg.Telemetry.Stream("locality quadrants")
 		var act cpu.Activity
+		var rep power.CycleReport
 		var volts [1 + numQuadrants]float64
 		for i := uint64(0); i < cfg.Cycles; i++ {
 			done := sys.CPU.StepInto(&act)
-			rep := sys.Power.Step(&act, power.Phantom{})
+			sys.Power.StepInto(&act, power.Phantom{}, &rep)
 			stepSupply(gs, &rep, vNom, &volts)
 			g, locals := volts[0], volts[1:]
 			if stream.Enabled() {

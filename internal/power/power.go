@@ -150,8 +150,11 @@ type Model struct {
 	cfg cpu.Config
 
 	// spread[class] is a ring of "units busy" counts for future cycles,
-	// fed at issue time with the operation's full latency.
-	spread [isa.NumClasses][]float64
+	// fed at issue time with the operation's full latency; pos is the
+	// current cycle's slot. lat[class] is the number of cycles an issue of
+	// that class spreads over.
+	spread [isa.NumClasses][spreadLen]float64
+	lat    [isa.NumClasses]int
 	pos    int
 
 	// sumPeak is the peak power of units 1..NumUnits-1 accumulated in
@@ -163,13 +166,18 @@ type Model struct {
 	totalEnergy float64 // joules
 }
 
-const spreadLen = 64 // exceeds the longest FU latency
+// spreadLen is the spreading calendar's length: the longest latency the
+// core accepts, a power of two so the ring wraps with a mask.
+const (
+	spreadLen  = cpu.MaxFULatency
+	spreadMask = spreadLen - 1
+)
 
 // New builds a model for the given core configuration.
 func New(p Params, cfg cpu.Config) *Model {
 	m := &Model{p: p.WithDefaults(), cfg: cfg}
-	for c := range m.spread {
-		m.spread[c] = make([]float64, spreadLen)
+	for cl := range m.lat {
+		m.lat[cl] = min(classLatency(cfg, isa.Class(cl)), spreadLen)
 	}
 	for u := Unit(1); u < NumUnits; u++ {
 		m.sumPeak += m.p.Peak[u]
@@ -181,20 +189,20 @@ func New(p Params, cfg cpu.Config) *Model {
 func (m *Model) Params() Params { return m.p }
 
 // classLatency mirrors the core's execution latencies for spreading.
-func (m *Model) classLatency(cl isa.Class) int {
+func classLatency(cfg cpu.Config, cl isa.Class) int {
 	switch cl {
 	case isa.ClassIntALU, isa.ClassBranch:
-		return max1(m.cfg.LatIntALU)
+		return max1(cfg.LatIntALU)
 	case isa.ClassIntMult:
-		return max1(m.cfg.LatIntMult)
+		return max1(cfg.LatIntMult)
 	case isa.ClassIntDiv:
-		return max1(m.cfg.LatIntDiv)
+		return max1(cfg.LatIntDiv)
 	case isa.ClassFPAdd:
-		return max1(m.cfg.LatFPAdd)
+		return max1(cfg.LatFPAdd)
 	case isa.ClassFPMult:
-		return max1(m.cfg.LatFPMult)
+		return max1(cfg.LatFPMult)
 	case isa.ClassFPDiv:
-		return max1(m.cfg.LatFPDiv)
+		return max1(cfg.LatFPDiv)
 	}
 	return 1
 }
@@ -206,116 +214,120 @@ func max1(v int) int {
 	return v
 }
 
+// unitPower is a unit's power given its peak, its activity fraction and
+// whether the actuator has hard-gated or phantom-fired it.
+func unitPower(peak, frac, idle, gated float64, hardGated, phantom bool) float64 {
+	switch {
+	case phantom:
+		return peak // phantom firing: full rail
+	case hardGated:
+		return peak * gated
+	}
+	if frac < 0 {
+		frac = 0
+	}
+	if frac > 1 {
+		frac = 1
+	}
+	// cc3: idle floor plus activity-proportional dynamic power.
+	return peak * (idle + (1-idle)*frac)
+}
+
 // Step accounts one cycle of activity and returns its power.
+func (m *Model) Step(act *cpu.Activity, ph Phantom) CycleReport {
+	var r CycleReport
+	m.StepInto(act, ph, &r)
+	return r
+}
+
+// StepInto is Step without the CycleReport return copy: it overwrites *r
+// in place. The simulation loops call it once per machine cycle into a
+// report they own.
 //
 //didt:hotpath
-func (m *Model) Step(act *cpu.Activity, ph Phantom) CycleReport {
+func (m *Model) StepInto(act *cpu.Activity, ph Phantom, r *CycleReport) {
 	// Feed the spreading calendars with this cycle's issues.
 	for cl, n := range act.IssuedByClass {
 		if n == 0 {
 			continue
 		}
-		lat := m.classLatency(isa.Class(cl))
-		idx := m.pos
-		for k := 0; k < lat && k < spreadLen; k++ {
-			m.spread[cl][idx] += float64(n)
-			if idx++; idx == spreadLen {
-				idx = 0
-			}
+		ring, f := &m.spread[cl], float64(n)
+		for k, idx := 0, m.pos; k < m.lat[cl]; k, idx = k+1, (idx+1)&spreadMask {
+			ring[idx] += f
 		}
 	}
-	//didt:allow hotpath -- closure never escapes Step, so it stays on the stack; the -benchmem gate pins Step at 0 allocs/op
-	busy := func(cl isa.Class) float64 { return m.spread[cl][m.pos] }
-
-	var r CycleReport
+	busy := &m.spread
+	pos := m.pos
+	peak := &m.p.Peak
 	idle := m.p.IdleFraction
 	gated := m.p.GatedFraction
-
-	// util computes a unit's power given its activity fraction and whether
-	// the actuator has hard-gated it.
-	//
-	//didt:allow hotpath -- closure never escapes Step, so it stays on the stack; the -benchmem gate pins Step at 0 allocs/op
-	util := func(u Unit, frac float64, hardGated, phantom bool) float64 {
-		peak := m.p.Peak[u]
-		switch {
-		case phantom:
-			return peak // phantom firing: full rail
-		case hardGated:
-			return peak * gated
-		}
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		// cc3: idle floor plus activity-proportional dynamic power.
-		return peak * (idle + (1-idle)*frac)
-	}
-
 	fw := float64(m.cfg.FetchWidth)
 	iw := float64(m.cfg.IssueWidth)
+	pu := &r.PerUnit
 
 	// Front end.
-	r.PerUnit[UnitFetch] = util(UnitFetch, float64(act.Fetched)/fw, act.IL1Gated, ph.IL1)
-	r.PerUnit[UnitBpred] = util(UnitBpred, float64(act.BpredLookups)/2, act.IL1Gated, ph.IL1)
-	r.PerUnit[UnitL1I] = util(UnitL1I, float64(act.ICacheAccess), act.IL1Gated, ph.IL1)
-	r.PerUnit[UnitRename] = util(UnitRename, float64(act.Dispatched)/float64(m.cfg.DecodeWidth), false, false)
+	pu[UnitFetch] = unitPower(peak[UnitFetch], float64(act.Fetched)/fw, idle, gated, act.IL1Gated, ph.IL1)
+	pu[UnitBpred] = unitPower(peak[UnitBpred], float64(act.BpredLookups)/2, idle, gated, act.IL1Gated, ph.IL1)
+	pu[UnitL1I] = unitPower(peak[UnitL1I], float64(act.ICacheAccess), idle, gated, act.IL1Gated, ph.IL1)
+	pu[UnitRename] = unitPower(peak[UnitRename], float64(act.Dispatched)/float64(m.cfg.DecodeWidth), idle, gated, false, false)
 
 	// Window and register machinery.
 	occFrac := float64(act.RUUOccupancy) / float64(m.cfg.RUUSize)
 	issFrac := float64(act.Issued) / iw
-	r.PerUnit[UnitWindow] = util(UnitWindow, 0.45*occFrac+0.55*issFrac, false, false)
+	pu[UnitWindow] = unitPower(peak[UnitWindow], 0.45*occFrac+0.55*issFrac, idle, gated, false, false)
 	lsqFrac := float64(act.LSQOccupancy) / float64(m.cfg.LSQSize)
 	memIss := float64(act.IssuedByClass[isa.ClassLoad]+act.IssuedByClass[isa.ClassStore]) / float64(m.cfg.MemPorts)
-	r.PerUnit[UnitLSQ] = util(UnitLSQ, 0.4*lsqFrac+0.6*memIss, false, false)
-	r.PerUnit[UnitRegFile] = util(UnitRegFile, float64(act.RegReads+act.RegWrites)/(3*iw), false, false)
-	r.PerUnit[UnitResultBus] = util(UnitResultBus, float64(act.Completed)/iw, false, false)
+	pu[UnitLSQ] = unitPower(peak[UnitLSQ], 0.4*lsqFrac+0.6*memIss, idle, gated, false, false)
+	pu[UnitRegFile] = unitPower(peak[UnitRegFile], float64(act.RegReads+act.RegWrites)/(3*iw), idle, gated, false, false)
+	pu[UnitResultBus] = unitPower(peak[UnitResultBus], float64(act.Completed)/iw, idle, gated, false, false)
 
 	// Execution units, with multi-cycle spreading.
-	r.PerUnit[UnitIntALU] = util(UnitIntALU,
-		(busy(isa.ClassIntALU)+busy(isa.ClassBranch))/float64(m.cfg.IntALU),
-		act.FUsGated, ph.FUs)
-	r.PerUnit[UnitIntMult] = util(UnitIntMult,
-		(busy(isa.ClassIntMult)+busy(isa.ClassIntDiv))/float64(m.cfg.IntMult),
-		act.FUsGated, ph.FUs)
-	r.PerUnit[UnitFPALU] = util(UnitFPALU,
-		busy(isa.ClassFPAdd)/float64(m.cfg.FPALU),
-		act.FUsGated, ph.FUs)
-	r.PerUnit[UnitFPMult] = util(UnitFPMult,
-		(busy(isa.ClassFPMult)+busy(isa.ClassFPDiv))/float64(m.cfg.FPMult),
-		act.FUsGated, ph.FUs)
+	pu[UnitIntALU] = unitPower(peak[UnitIntALU],
+		(busy[isa.ClassIntALU][pos]+busy[isa.ClassBranch][pos])/float64(m.cfg.IntALU),
+		idle, gated, act.FUsGated, ph.FUs)
+	pu[UnitIntMult] = unitPower(peak[UnitIntMult],
+		(busy[isa.ClassIntMult][pos]+busy[isa.ClassIntDiv][pos])/float64(m.cfg.IntMult),
+		idle, gated, act.FUsGated, ph.FUs)
+	pu[UnitFPALU] = unitPower(peak[UnitFPALU],
+		busy[isa.ClassFPAdd][pos]/float64(m.cfg.FPALU),
+		idle, gated, act.FUsGated, ph.FUs)
+	pu[UnitFPMult] = unitPower(peak[UnitFPMult],
+		(busy[isa.ClassFPMult][pos]+busy[isa.ClassFPDiv][pos])/float64(m.cfg.FPMult),
+		idle, gated, act.FUsGated, ph.FUs)
 
 	// Data-side caches.
-	r.PerUnit[UnitL1D] = util(UnitL1D, float64(act.DCacheAccess)/float64(m.cfg.MemPorts),
-		act.DL1Gated, ph.DL1)
-	r.PerUnit[UnitL2] = util(UnitL2, float64(act.L2Access), false, false)
+	pu[UnitL1D] = unitPower(peak[UnitL1D], float64(act.DCacheAccess)/float64(m.cfg.MemPorts),
+		idle, gated, act.DL1Gated, ph.DL1)
+	pu[UnitL2] = unitPower(peak[UnitL2], float64(act.L2Access), idle, gated, false, false)
 
 	// Clock tree: fixed floor plus a share tracking overall chip activity.
+	// Both sums run in ascending unit order into locals, so every float is
+	// the one a running r.Power sum would produce.
 	var sum float64
 	for u := Unit(1); u < NumUnits; u++ {
-		sum += r.PerUnit[u]
+		sum += pu[u]
 	}
 	activityFrac := 0.0
 	if m.sumPeak > 0 {
 		activityFrac = sum / m.sumPeak
 	}
-	r.PerUnit[UnitClock] = m.p.Peak[UnitClock] * (0.35 + 0.65*activityFrac)
+	pu[UnitClock] = peak[UnitClock] * (0.35 + 0.65*activityFrac)
 
+	var total float64
 	for u := Unit(0); u < NumUnits; u++ {
-		r.Power += r.PerUnit[u]
+		total += pu[u]
 	}
-	r.Current = r.Power / m.p.VNominal
+	r.Power = total
+	r.Current = total / m.p.VNominal
 
-	m.totalEnergy += r.Power / m.p.ClockHz
+	m.totalEnergy += total / m.p.ClockHz
 	m.cycles++
 
 	// Advance the spreading calendar.
-	for c := range m.spread {
-		m.spread[c][m.pos] = 0
+	for cl := range m.spread {
+		m.spread[cl][pos] = 0
 	}
-	m.pos = (m.pos + 1) % spreadLen
-	return r
+	m.pos = (pos + 1) & spreadMask
 }
 
 // TotalEnergy returns the accumulated energy in joules.
@@ -331,10 +343,6 @@ func (m *Model) MinCurrent() float64 {
 	var p float64
 	for u := Unit(1); u < NumUnits; u++ {
 		p += m.p.Peak[u] * m.p.IdleFraction
-	}
-	var sumPeak float64
-	for u := Unit(1); u < NumUnits; u++ {
-		sumPeak += m.p.Peak[u]
 	}
 	p += m.p.Peak[UnitClock] * (0.35 + 0.65*m.p.IdleFraction)
 	return p / m.p.VNominal

@@ -6,6 +6,7 @@ import (
 
 	"didt/internal/cpu"
 	"didt/internal/isa"
+	"didt/internal/workload"
 )
 
 func newM() *Model {
@@ -224,5 +225,29 @@ func TestUnitStringNames(t *testing.T) {
 	}
 	if Unit(99).String() == "" {
 		t.Error("out-of-range unit name empty")
+	}
+}
+
+// BenchmarkStepInto times one cycle of power accounting over a recorded
+// stretch of the stressmark's steady-state activity. Under -benchmem it
+// pins the cycle at zero heap allocations.
+func BenchmarkStepInto(b *testing.B) {
+	c, err := cpu.New(cpu.Config{}, workload.Stressmark(workload.StressmarkParams{Iterations: 1 << 30}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	acts := make([]cpu.Activity, 4096)
+	for i := 0; i < 50_000; i++ {
+		c.StepInto(&acts[0])
+	}
+	for i := range acts {
+		c.StepInto(&acts[i])
+	}
+	m := New(Params{}, c.Config())
+	var r CycleReport
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.StepInto(&acts[i&(len(acts)-1)], Phantom{}, &r)
 	}
 }
