@@ -86,6 +86,12 @@ go test -race -count=1 \
 # must have declined the modal form).
 go test -run NONE -fuzz FuzzModalMatchesExact -fuzztime=10s ./internal/pdn
 
+# Store-entry fuzzing: arbitrary bytes through the entry parser every
+# on-disk read takes; it must never panic, a decoded body must hash to its
+# decoded digest, and every storable key and body must survive an
+# encode/decode round trip.
+go test -run NONE -fuzz FuzzDecodeEntry -fuzztime=10s ./internal/store
+
 # Result-store smoke test under the race detector: concurrent identical
 # requests cost exactly one engine run (wire singleflight), a restarted
 # server serves the stored bytes with the same ETag and answers

@@ -53,14 +53,6 @@ type Options struct {
 	// cycle, so the hot path is unchanged when observability is off.
 	Telemetry     *telemetry.Tracer
 	TelemetryName string
-
-	// ProgKey, when non-empty, is a stable identity for the program
-	// (typically a fingerprint of its generation parameters). It enables
-	// the machine-trace cache for runs that replay (see System.Run):
-	// runs that share program, CPU and power configuration and budget
-	// reuse one cycle-accurate current trace and replay it through each
-	// PDN. Empty runs step instead — results are identical either way.
-	ProgKey string
 }
 
 // Result summarizes one run.
@@ -105,6 +97,7 @@ func (r *Result) IPC() float64 { return r.Stats.IPC() }
 type System struct {
 	opts Options
 	spec spec.RunSpec // resolved (WithDefaults applied)
+	prog isa.Program
 
 	// CPU and Power are the machine; Net, Sim and Sensor are rail 0's
 	// network, streaming simulator and sensor.
@@ -187,6 +180,7 @@ func NewSystem(prog isa.Program, opts Options) (*System, error) {
 	s := &System{
 		opts:    opts,
 		spec:    sp,
+		prog:    prog,
 		CPU:     c,
 		Power:   power.New(sp.Power, c.Config()),
 		hist:    stats.NewHistogram(0.90, 1.10, 200),
@@ -376,18 +370,14 @@ func (s *System) Run() (*Result, error) {
 }
 
 // replays reports whether Run replays a machine trace: a single-rail run
-// whose Options.ProgKey names the program, in which nothing feeds the
-// computed voltage back into the machine — the controller is off (no
-// sensing, no actuation), the pessimistic ramp is off (its gating feeds
-// the next machine cycle), no code-level responder is attached, and the
-// telemetry stream is disabled (per-cycle emission is interleaved with
-// stepping). An unkeyed run steps: its trace could never be reused, and
-// stepping settles the same currents in the same blocks without buffering
-// them. Trace-cache entries hold one whole-chip current per cycle, so
-// runs on several rails always step.
+// in which nothing feeds the computed voltage back into the machine — the
+// controller is off (no sensing, no actuation), the pessimistic ramp is
+// off (its gating feeds the next machine cycle), no code-level responder
+// is attached, and the telemetry stream is disabled (per-cycle emission is
+// interleaved with stepping). Trace-cache entries hold one whole-chip
+// current per cycle, so runs on several rails always step.
 func (s *System) replays() bool {
-	return s.opts.ProgKey != "" &&
-		len(s.rails) == 1 &&
+	return len(s.rails) == 1 &&
 		!s.spec.Control.Enabled &&
 		s.spec.Control.PessimisticRamp == 0 &&
 		s.opts.Responder == nil &&

@@ -244,14 +244,16 @@ func TestRunMatchesStepwiseRetiresMidBlock(t *testing.T) {
 	}
 }
 
-// TestRunMatchesStepwiseOpenLoop covers runs with control off. A
-// single-rail run under a ProgKey replays its machine trace from the trace
-// cache, on a miss and then on hits, through the driver's PDN half; an
-// unkeyed or multi-rail run steps. All must equal
-// the exact stepwise loop on every Result field, with and without warmup,
-// with traces recorded, and for a program that retires mid-block. The
-// replay must also leave the cached currents untouched and publish its
-// modal and exact counts.
+// TestRunMatchesStepwiseOpenLoop covers runs with control off. Every
+// single-rail run replays its machine trace from the trace cache, on a
+// miss and then on hits, through the driver's PDN half; a multi-rail run
+// steps. All must equal the exact stepwise loop on every Result field,
+// with and without warmup, with traces recorded, over several trace
+// chunks, and for programs that retire mid-block. The trace cache is
+// keyed on the program's content: a caller-built program replays, and two
+// programs that differ in one immediate take a trace each. The replay must
+// also leave the cached currents untouched and publish its modal and exact
+// counts.
 func TestRunMatchesStepwiseOpenLoop(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -263,7 +265,7 @@ func TestRunMatchesStepwiseOpenLoop(t *testing.T) {
 	check := func(name string, prog isa.Program, opts Options) *Result {
 		t.Helper()
 		res, sys := compareRunStepwise(t, name, prog, opts, nil)
-		if want := opts.ProgKey != "" && !opts.Spec.PDN.MultiRail(); sys.replays() != want {
+		if want := !opts.Spec.PDN.MultiRail(); sys.replays() != want {
 			t.Errorf("%s: replays() = %v, want %v", name, !want, want)
 		}
 		modal += sys.modalCycles
@@ -278,14 +280,10 @@ func TestRunMatchesStepwiseOpenLoop(t *testing.T) {
 	prog := alternator(2000)
 	for _, warm := range []uint64{0, 3_000} {
 		k := knobs{ImpedancePct: 2.5, MaxCycles: 12_007, WarmupCycles: warm}
-		check(fmt.Sprintf("single warmup=%d", warm), prog, k.options())
-
 		// Warmup gates statistics, not stepping, so both warmups share
 		// one cached trace: one miss, then hits.
-		keyed := k.options()
-		keyed.ProgKey = "test:alternator2000"
-		first := check(fmt.Sprintf("keyed warmup=%d", warm), prog, keyed)
-		sys, err := NewSystem(prog, keyed)
+		first := check(fmt.Sprintf("single warmup=%d", warm), prog, k.options())
+		sys, err := NewSystem(prog, k.options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,16 +292,16 @@ func TestRunMatchesStepwiseOpenLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached := slices.Clone(mr.currents)
-		second := check(fmt.Sprintf("keyed again warmup=%d", warm), prog, keyed)
+		cached := slices.Concat(mr.chunks...)
+		second := check(fmt.Sprintf("single again warmup=%d", warm), prog, k.options())
 		if d := resultDiff(second, first); d != "" {
 			t.Errorf("warmup %d: cached replays differ: %s", warm, d)
 		}
-		if !slices.Equal(mr.currents, cached) {
+		if !slices.Equal(slices.Concat(mr.chunks...), cached) {
 			t.Errorf("warmup %d: the replay wrote into the cached trace", warm)
 		}
 
-		traced := keyed
+		traced := k.options()
 		traced.RecordTraces = true
 		res := check(fmt.Sprintf("traces warmup=%d", warm), prog, traced)
 		if len(res.VoltageTrace) != int(res.Cycles) {
@@ -317,18 +315,29 @@ func TestRunMatchesStepwiseOpenLoop(t *testing.T) {
 		check(fmt.Sprintf("3-rail traces warmup=%d", warm), prog, o)
 	}
 
-	k := knobs{ImpedancePct: 2.5, MaxCycles: 1_000_000, WarmupCycles: 500}
+	// Three chunks, the last one cut short mid-block.
+	k := knobs{ImpedancePct: 2.5, MaxCycles: 2*traceChunk + 4_003, WarmupCycles: 3_000}
+	check("chunks", prog, k.options())
+
+	// alternator(59) and alternator(60) have equal lengths and differ in
+	// one immediate (the iteration count); each retires at its own cycle,
+	// so a replay of the other's trace would fail its comparison.
+	k = knobs{ImpedancePct: 2.5, MaxCycles: 1_000_000, WarmupCycles: 500}
 	res := check("retire", alternator(59), k.options())
 	if res.Cycles >= k.MaxCycles || res.Cycles%pdn.MaxBlock == 0 {
 		t.Errorf("program retired at cycle %d; want mid-block, within the budget", res.Cycles)
 	}
+	if other := check("retire one iteration later", alternator(60), k.options()); other.Cycles == res.Cycles {
+		t.Errorf("both programs retired at cycle %d; the comparison proves little", res.Cycles)
+	}
 	k.ImpedancePct = 3
 	check("3-rail retire", alternator(59), threeRailKnobs(k))
 
-	// Keyed runs: 2 warmups x (first, machineTrace, again, traces), all
-	// on one trace.
-	if st := TraceCacheStats(); st.Misses-cache0.Misses != 1 || st.Hits-cache0.Hits != 7 {
-		t.Errorf("trace cache: %d misses and %d hits, want 1 and 7",
+	// alternator(2000): 2 warmups x (first, machineTrace, again, traces),
+	// all on one trace; then one trace each for the chunked budget and
+	// the two retiring programs.
+	if st := TraceCacheStats(); st.Misses-cache0.Misses != 4 || st.Hits-cache0.Hits != 7 {
+		t.Errorf("trace cache: %d misses and %d hits, want 4 and 7",
 			st.Misses-cache0.Misses, st.Hits-cache0.Hits)
 	}
 	if replayModal == 0 || replayExact == 0 {

@@ -6,16 +6,14 @@ import (
 	"didt/internal/telemetry"
 )
 
-// TestOpenLoopMatchesStreaming pins the replay contract: a keyed
-// uncontrolled run replayed from its machine trace must equal, on every
+// TestOpenLoopMatchesStreaming pins the replay contract: an uncontrolled
+// run replayed from its machine trace must equal, on every
 // Result field, the same run forced onto the exact per-cycle streaming
 // path (via an enabled tracer, which never changes results).
 func TestOpenLoopMatchesStreaming(t *testing.T) {
 	k := knobs{ImpedancePct: 2, MaxCycles: 60000, WarmupCycles: 10000}
 
-	fastOpts := k.options()
-	fastOpts.ProgKey = "test:alternator300"
-	fastSys, err := NewSystem(alternator(300), fastOpts)
+	fastSys, err := NewSystem(alternator(300), k.options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +44,17 @@ func TestOpenLoopMatchesStreaming(t *testing.T) {
 	}
 }
 
-// TestOpenLoopTraceCacheReuse checks that a keyed open-loop run is
+// TestOpenLoopTraceCacheReuse checks that an open-loop run is
 // identical whether its machine trace is computed or served from the
 // trace cache, and that the cache actually gets hit.
 func TestOpenLoopTraceCacheReuse(t *testing.T) {
 	ResetTraceCache()
 	before := TraceCacheStats()
 	k := knobs{ImpedancePct: 2, MaxCycles: 50000, WarmupCycles: 10000}
-	runKeyed := func(pct float64) *Result {
+	runAt := func(pct float64) *Result {
 		kk := k
 		kk.ImpedancePct = pct
-		opts := kk.options()
-		opts.ProgKey = "test:alternator300"
-		sys, err := NewSystem(alternator(300), opts)
+		sys, err := NewSystem(alternator(300), kk.options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,9 +64,9 @@ func TestOpenLoopTraceCacheReuse(t *testing.T) {
 		}
 		return res
 	}
-	first := runKeyed(2)
-	second := runKeyed(2) // same key: trace served from cache
-	third := runKeyed(3)  // same trace, different network
+	first := runAt(2)
+	second := runAt(2) // same program: trace served from cache
+	third := runAt(3)  // same trace, different network
 	if st := TraceCacheStats(); st.Hits-before.Hits < 2 || st.Misses-before.Misses != 1 {
 		t.Fatalf("trace cache not reused: %+v since %+v", st, before)
 	}
@@ -79,5 +75,50 @@ func TestOpenLoopTraceCacheReuse(t *testing.T) {
 	}
 	if third.MinV >= first.MinV {
 		t.Fatalf("higher impedance should droop further: %g vs %g", third.MinV, first.MinV)
+	}
+}
+
+// TestMachineTraceChunks: a default-budget open-loop run (a budget far
+// past its retirement) caches its cycles plus less than one chunk, in
+// full chunks but the last; a budget-bound run caches exactly its cycles.
+func TestMachineTraceChunks(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	for _, maxCycles := range []uint64{0, 2*traceChunk + 3} {
+		opts := knobs{ImpedancePct: 2, MaxCycles: maxCycles}.options()
+		sys, err := NewSystem(alternator(3000), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := sys.machineTrace()
+		sys.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := sys.spec.Budget.MaxCycles
+		if maxCycles == 0 && res.Cycles > budget/100 {
+			t.Fatalf("default budget: ran %d of %d cycles; want a run that retires early", res.Cycles, budget)
+		}
+		if maxCycles != 0 && res.Cycles != maxCycles {
+			t.Fatalf("bounded budget: ran %d cycles, want %d", res.Cycles, maxCycles)
+		}
+		held, n := 0, 0
+		for i, c := range mr.chunks {
+			if i < len(mr.chunks)-1 && (len(c) != traceChunk || cap(c) != traceChunk) {
+				t.Errorf("budget %d: chunk %d holds %d of %d, want a full %d", budget, i, len(c), cap(c), traceChunk)
+			}
+			held += cap(c)
+			n += len(c)
+		}
+		if uint64(n) != res.Cycles || len(mr.chunks) < 2 {
+			t.Errorf("budget %d: %d chunks hold %d currents for %d cycles", budget, len(mr.chunks), n, res.Cycles)
+		}
+		if spare := held - n; spare >= traceChunk || (maxCycles != 0 && spare != 0) {
+			t.Errorf("budget %d: %d floats reserved beyond the run's %d cycles", budget, spare, res.Cycles)
+		}
 	}
 }

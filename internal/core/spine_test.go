@@ -74,11 +74,10 @@ func spineCases() []spineCase {
 	traced.RecordTraces = true
 	add("record traces", traced)
 
+	// Replays its machine trace, as every single-rail open-loop run does.
 	open := base
 	open.Control = false
-	keyed := open.options()
-	keyed.ProgKey = "spine:alternator2000"
-	add("keyed open loop", keyed)
+	add("keyed open loop", open.options())
 
 	asym := base.options()
 	asym.Responder = actuator.Asymmetric{Low: actuator.FU, High: actuator.Ideal}

@@ -22,8 +22,8 @@ import (
 // that became too coarse shows up as extra hits, one that became too fine
 // as extra misses.
 //
-// The run/trace/solve counts additionally pin the batch scheduler's
-// dedup: 87 distinct simulations serve the slice's 109 requested runs
+// The run/trace/solve counts additionally pin the sharing between
+// studies: 87 distinct simulations serve the slice's 109 requested runs
 // (the uncontrolled baselines are shared across studies, "ideal" and
 // "fu+dl1+il1" are one behavioral mechanism, and ablation-window's
 // RUU=256 point is table2's stressmark at 200%), 11 machine traces cover

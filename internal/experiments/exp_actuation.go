@@ -38,14 +38,14 @@ func actuationStudy(cfg Config) (*ActuationStudy, error) {
 
 		baseJobs := make([]runJob, len(benches))
 		for i, name := range benches {
-			prog, key, err := cfg.benchProgramKeyed(name)
+			prog, err := cfg.benchProgram(name)
 			if err != nil {
 				return nil, err
 			}
-			baseJobs[i] = cfg.uncontrolledFullJob(prog, key, 2)
+			baseJobs[i] = cfg.uncontrolledFullJob(prog, 2)
 		}
 		type base struct{ cycles, energy float64 }
-		baseRes, err := cfg.runJobs(baseJobs)
+		baseRes, err := sweep(cfg, baseJobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -66,13 +66,13 @@ func actuationStudy(cfg Config) (*ActuationStudy, error) {
 		jobs := make([]runJob, len(mechs)*delays*nb)
 		for j := range jobs {
 			m, d, i := j/(delays*nb), (j/nb)%delays, j%nb
-			prog, key, err := cfg.benchProgramKeyed(benches[i])
+			prog, err := cfg.benchProgram(benches[i])
 			if err != nil {
 				return nil, err
 			}
-			jobs[j] = cfg.controlledJob(prog, key, 2, mechs[m], d, 0)
+			jobs[j] = cfg.controlledJob(prog, 2, mechs[m], d, 0)
 		}
-		gridRes, err := cfg.runJobs(jobs)
+		gridRes, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -194,8 +194,8 @@ type StressmarkActuationStudy struct {
 func stressmarkActuation(cfg Config) (*StressmarkActuationStudy, error) {
 	cfg = cfg.withDefaults()
 	return memoized("stressmark-actuation", cfg, func() (*StressmarkActuationStudy, error) {
-		prog, progKey := cfg.stressProgramKeyed()
-		baseRes, err := cfg.runKeyed(cfg.uncontrolledFullJob(prog, progKey, 2))
+		prog := cfg.stressProgram()
+		baseRes, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
 		if err != nil {
 			return nil, err
 		}
@@ -204,9 +204,9 @@ func stressmarkActuation(cfg Config) (*StressmarkActuationStudy, error) {
 		jobs := make([]runJob, len(mechs)*delays)
 		for j := range jobs {
 			m, d := j/delays, j%delays
-			jobs[j] = cfg.controlledJob(prog, progKey, 2, mechs[m], d, 0)
+			jobs[j] = cfg.controlledJob(prog, 2, mechs[m], d, 0)
 		}
-		gridRes, err := cfg.runJobs(jobs)
+		gridRes, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}

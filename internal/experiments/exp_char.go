@@ -32,11 +32,9 @@ type Fig9Result struct {
 func Fig9(cfg Config) (*Fig9Result, error) {
 	cfg = cfg.withDefaults()
 	return memoized("fig9", cfg, func() (*Fig9Result, error) {
-		opts := cfg.baseOptions(2)
-		opts.RecordTraces = true
-		prog, progKey := cfg.stressProgramKeyed()
-		opts.ProgKey = progKey
-		res, err := run(prog, opts)
+		j := cfg.baseJob(cfg.stressProgram(), 2)
+		j.opts.RecordTraces = true
+		res, err := runKeyed(j)
 		if err != nil {
 			return nil, err
 		}
@@ -141,16 +139,16 @@ func Table2(cfg Config) (*Table2Result, error) {
 		}
 		rjobs := make([]runJob, len(jobs))
 		for k, j := range jobs {
-			prog, key := cfg.stressProgramKeyed()
+			prog := cfg.stressProgram()
 			if j.bench != "" {
 				var err error
-				if prog, key, err = cfg.benchProgramKeyed(j.bench); err != nil {
+				if prog, err = cfg.benchProgram(j.bench); err != nil {
 					return nil, err
 				}
 			}
-			rjobs[k] = cfg.baseJob(prog, key, float64(j.pct)/100)
+			rjobs[k] = cfg.baseJob(prog, float64(j.pct)/100)
 		}
-		results, err := cfg.runJobs(rjobs)
+		results, err := sweep(cfg, rjobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -274,16 +272,16 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 		names := append(append([]string{}, cfg.benchmarks()...), "stressmark")
 		jobs := make([]runJob, len(names))
 		for i, name := range names {
-			prog, key := cfg.stressProgramKeyed()
+			prog := cfg.stressProgram()
 			if name != "stressmark" {
 				var err error
-				if prog, key, err = cfg.benchProgramKeyed(name); err != nil {
+				if prog, err = cfg.benchProgram(name); err != nil {
 					return nil, err
 				}
 			}
-			jobs[i] = cfg.baseJob(prog, key, 1)
+			jobs[i] = cfg.baseJob(prog, 1)
 		}
-		results, err := cfg.runJobs(jobs)
+		results, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}

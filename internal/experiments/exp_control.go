@@ -119,24 +119,23 @@ func sensorDelayStudy(cfg Config) (*SensorDelayStudy, error) {
 		benches := cfg.challenging()
 		// Workload index len(benches) is the stressmark throughout.
 		workloads := len(benches) + 1
-		program := func(i int) (isa.Program, string, error) {
+		program := func(i int) (isa.Program, error) {
 			if i == len(benches) {
-				prog, key := cfg.stressProgramKeyed()
-				return prog, key, nil
+				return cfg.stressProgram(), nil
 			}
-			return cfg.benchProgramKeyed(benches[i])
+			return cfg.benchProgram(benches[i])
 		}
 
 		baseJobs := make([]runJob, workloads)
 		for i := range baseJobs {
-			prog, key, err := program(i)
+			prog, err := program(i)
 			if err != nil {
 				return nil, err
 			}
-			baseJobs[i] = cfg.uncontrolledFullJob(prog, key, 2)
+			baseJobs[i] = cfg.uncontrolledFullJob(prog, 2)
 		}
 		type base struct{ cycles, energy float64 }
-		baseRes, err := cfg.runJobs(baseJobs)
+		baseRes, err := sweep(cfg, baseJobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -156,13 +155,13 @@ func sensorDelayStudy(cfg Config) (*SensorDelayStudy, error) {
 		jobs := make([]runJob, delays*workloads)
 		for j := range jobs {
 			d, i := j/workloads, j%workloads
-			prog, key, err := program(i)
+			prog, err := program(i)
 			if err != nil {
 				return nil, err
 			}
-			jobs[j] = cfg.controlledJob(prog, key, 2, actuator.Ideal, d, 0)
+			jobs[j] = cfg.controlledJob(prog, 2, actuator.Ideal, d, 0)
 		}
-		gridRes, err := cfg.runJobs(jobs)
+		gridRes, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -276,14 +275,14 @@ func sensorErrorStudy(cfg Config) (*SensorErrorStudy, error) {
 
 		baseJobs := make([]runJob, len(benches))
 		for i, name := range benches {
-			prog, key, err := cfg.benchProgramKeyed(name)
+			prog, err := cfg.benchProgram(name)
 			if err != nil {
 				return nil, err
 			}
-			baseJobs[i] = cfg.uncontrolledFullJob(prog, key, 2)
+			baseJobs[i] = cfg.uncontrolledFullJob(prog, 2)
 		}
 		type base struct{ cycles, energy float64 }
-		baseRes, err := cfg.runJobs(baseJobs)
+		baseRes, err := sweep(cfg, baseJobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -295,13 +294,13 @@ func sensorErrorStudy(cfg Config) (*SensorErrorStudy, error) {
 		jobs := make([]runJob, len(noises)*len(benches))
 		for j := range jobs {
 			n, i := j/len(benches), j%len(benches)
-			prog, key, err := cfg.benchProgramKeyed(benches[i])
+			prog, err := cfg.benchProgram(benches[i])
 			if err != nil {
 				return nil, err
 			}
-			jobs[j] = cfg.controlledJob(prog, key, 2, actuator.Ideal, delay, noises[n])
+			jobs[j] = cfg.controlledJob(prog, 2, actuator.Ideal, delay, noises[n])
 		}
-		gridRes, err := cfg.runJobs(jobs)
+		gridRes, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func asymmetricStudy(cfg Config) (*AsymmetricStudy, error) {
 	return memoized("asymmetric", cfg, func() (*AsymmetricStudy, error) {
 		const delay = 2
 		prog := cfg.stressProgram()
-		base, err := cfg.uncontrolledFull(prog, 2)
+		base, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func asymmetricStudy(cfg Config) (*AsymmetricStudy, error) {
 			opts.Responder = r
 			opts.Spec.Sensor.DelayCycles = delay
 			opts.Spec.Budget.MaxCycles = cfg.Cycles * 4
-			res, err := run(prog, opts)
+			res, err := runKeyed(runJob{prog: prog, opts: opts})
 			if err != nil {
 				return AsymmetricPoint{}, err
 			}
@@ -176,7 +176,7 @@ func rampStudy(cfg Config) ([]RampPoint, error) {
 			opts := cfg.baseOptions(2)
 			opts.Spec.Budget.MaxCycles = cfg.Cycles * 4
 			opts.Spec.Control.PessimisticRamp = ramp
-			res, err := run(prog, opts)
+			res, err := runKeyed(runJob{prog: prog, opts: opts})
 			if err != nil {
 				return nil, err
 			}
@@ -240,7 +240,7 @@ func gatingAblation(cfg Config) ([]GatingAblationPoint, error) {
 		return sweep(cfg, []float64{0.05, 0.10, 0.25, 0.50}, func(idle float64) (GatingAblationPoint, error) {
 			opts := cfg.baseOptions(2)
 			opts.Spec.Power = power.Params{IdleFraction: idle}
-			res, err := run(prog, opts)
+			res, err := runKeyed(runJob{prog: prog, opts: opts})
 			if err != nil {
 				return GatingAblationPoint{}, err
 			}

@@ -69,20 +69,20 @@ func RailsEmergencies(cfg Config) (*RailsEmergenciesResult, error) {
 		names := cfg.benchmarks()
 		jobs := make([]runJob, 0, len(names)+1)
 		for _, name := range names {
-			prog, key, err := cfg.benchProgramKeyed(name)
+			prog, err := cfg.benchProgram(name)
 			if err != nil {
 				return nil, err
 			}
-			j := cfg.baseJob(prog, key, pct)
+			j := cfg.baseJob(prog, pct)
 			railsSpec(&j.opts.Spec)
 			jobs = append(jobs, j)
 		}
-		prog, key := cfg.stressProgramKeyed()
-		j := cfg.baseJob(prog, key, pct)
+		prog := cfg.stressProgram()
+		j := cfg.baseJob(prog, pct)
 		railsSpec(&j.opts.Spec)
 		jobs = append(jobs, j)
 
-		results, err := cfg.runJobs(jobs)
+		results, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}
@@ -375,9 +375,9 @@ type RailsDVSResult struct {
 func RailsDVS(cfg Config) (*RailsDVSResult, error) {
 	cfg = cfg.withDefaults()
 	return memoized("rails-dvs", cfg, func() (*RailsDVSResult, error) {
-		prog, key := cfg.stressProgramKeyed()
+		prog := cfg.stressProgram()
 		mkJob := func(withDVS bool) runJob {
-			j := cfg.controlledJob(prog, key, 3, actuator.FU, 4, 0)
+			j := cfg.controlledJob(prog, 3, actuator.FU, 4, 0)
 			railsSpec(&j.opts.Spec)
 			if withDVS {
 				j.opts.Spec.Actuator.DVS = &spec.DVSSpec{
@@ -389,7 +389,7 @@ func RailsDVS(cfg Config) (*RailsDVSResult, error) {
 			}
 			return j
 		}
-		results, err := cfg.runJobs([]runJob{mkJob(false), mkJob(true)})
+		results, err := sweep(cfg, []runJob{mkJob(false), mkJob(true)}, runKeyed)
 		if err != nil {
 			return nil, err
 		}

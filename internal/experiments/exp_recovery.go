@@ -25,7 +25,7 @@ func recoveryStudy(cfg Config) ([]RecoveryPoint, error) {
 	cfg = cfg.withDefaults()
 	return memoized("recovery-policy", cfg, func() ([]RecoveryPoint, error) {
 		prog := cfg.stressProgram()
-		base, err := cfg.uncontrolledFull(prog, 2)
+		base, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
 		if err != nil {
 			return nil, err
 		}
@@ -37,7 +37,7 @@ func recoveryStudy(cfg Config) ([]RecoveryPoint, error) {
 			opts.Spec.Sensor.DelayCycles = 2
 			opts.Spec.Control.FlushRecovery = flush
 			opts.Spec.Budget.MaxCycles = cfg.Cycles * 4
-			res, err := run(prog, opts)
+			res, err := runKeyed(runJob{prog: prog, opts: opts})
 			if err != nil {
 				return nil, err
 			}

@@ -31,7 +31,7 @@ func softwareStudy(cfg Config) ([]SoftwarePoint, error) {
 				Iterations:    cfg.StressIter,
 				SmoothedBurst: smoothed,
 			})
-			res, err := cfg.uncontrolledFull(prog, 2)
+			res, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
 			if err != nil {
 				return nil, err
 			}

@@ -24,15 +24,15 @@ type WindowPoint struct {
 func windowAblation(cfg Config) ([]WindowPoint, error) {
 	cfg = cfg.withDefaults()
 	return memoized("ablation-window", cfg, func() ([]WindowPoint, error) {
-		prog, progKey := cfg.stressProgramKeyed()
+		prog := cfg.stressProgram()
 		ruus := []int{32, 64, 128, 256}
 		jobs := make([]runJob, len(ruus))
 		for i, ruu := range ruus {
 			opts := cfg.baseOptions(2)
 			opts.Spec.CPU = cpu.Config{RUUSize: ruu, LSQSize: ruu / 2}
-			jobs[i] = runJob{prog: prog, progKey: progKey, opts: opts}
+			jobs[i] = runJob{prog: prog, opts: opts}
 		}
-		results, err := cfg.runJobs(jobs)
+		results, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 
-	"didt/internal/actuator"
 	"didt/internal/core"
 	"didt/internal/isa"
 	"didt/internal/sim"
@@ -241,37 +240,6 @@ func (c Config) baseOptions(pct float64) core.Options {
 	}
 }
 
-// run executes one system, recycling pooled buffers afterwards.
-func run(prog isa.Program, opts core.Options) (*core.Result, error) {
-	sys, err := core.NewSystem(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
-	return sys.Run()
-}
-
-// controlled executes one controlled system.
-func (c Config) controlled(prog isa.Program, pct float64, mech actuator.Mechanism, delay int, noiseMV float64) (*core.Result, error) {
-	opts := c.baseOptions(pct)
-	opts.Spec.Control.Enabled = true
-	opts.Spec.Actuator.Mechanism = mech.Name
-	opts.Spec.Sensor.DelayCycles = delay
-	opts.Spec.Sensor.NoiseMV = noiseMV
-	// Controlled runs take longer; leave headroom so the same program
-	// retires fully and cycle counts are comparable.
-	opts.Spec.Budget.MaxCycles = c.Cycles * 4
-	return run(prog, opts)
-}
-
-// uncontrolledFull runs without a cycle cap tighter than the controlled
-// ones so that both retire the full program (performance = cycles ratio).
-func (c Config) uncontrolledFull(prog isa.Program, pct float64) (*core.Result, error) {
-	opts := c.baseOptions(pct)
-	opts.Spec.Budget.MaxCycles = c.Cycles * 4
-	return run(prog, opts)
-}
-
 // memo caches expensive shared studies within a process (fig14 and fig15
 // render the same sweep, as do fig17 and fig18) with singleflight
 // semantics: concurrent experiments never compute the same study twice.
@@ -287,11 +255,6 @@ func init() {
 // ResetMemo drops every cached study. Benchmarks and determinism tests use
 // it to force recomputation.
 func ResetMemo() { memo.Reset() }
-
-// SetMemoCapacity rebounds the shared study memo (n <= 0 = unbounded).
-// Long-lived servers tune this to their memory budget; tests shrink it to
-// exercise capacity pressure. In-flight studies are never evicted.
-func SetMemoCapacity(n int) { memo.SetCapacity(n) }
 
 // MemoStats reports the shared study memo's effectiveness.
 func MemoStats() sim.CacheStats { return memo.Stats() }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"didt/internal/actuator"
@@ -9,18 +10,17 @@ import (
 	"didt/internal/sim"
 	"didt/internal/spec"
 	"didt/internal/telemetry"
-	"didt/internal/workload"
 )
 
 // The experiment suite re-runs behaviorally identical simulations
 // constantly: every study's uncontrolled baselines share one spec, the
 // "ideal" and "FU/DL1/IL1" mechanisms are the same boolean actuator, and
 // fig10's 100%-impedance runs are table2's 100% column. runCache memoizes
-// complete runs keyed on program identity plus a behavior-canonical spec
-// fingerprint, so each distinct simulation happens once per process.
-// Cached Results are shared across studies and must be treated as
-// read-only, which every renderer already does.
-var runCache = sim.NewCache[string, *core.Result](512)
+// complete runs keyed on the program's content digest plus a
+// behavior-canonical spec fingerprint, so each distinct simulation happens
+// once per process. Cached Results are shared across studies and must be
+// treated as read-only, which every renderer already does.
+var runCache = sim.NewCache[runKey, *core.Result](512)
 
 func init() {
 	runCache.RegisterMetrics(telemetry.Default(), "cache.experiments_run")
@@ -34,46 +34,30 @@ func RunCacheStats() sim.CacheStats { return runCache.Stats() }
 // measure cold-start cost).
 func ResetRunCache() { runCache.Reset() }
 
-// runJob is one simulation in a keyed job list: the program, its stable
-// identity (empty disables all run-level caching), and the run options.
+// runJob is one simulation: the program and the run options.
 type runJob struct {
-	prog    isa.Program
-	progKey string
-	opts    core.Options
-}
-
-// benchProgramKeyed is benchProgram plus the profile fingerprint that
-// names the generated program across runs.
-func (c Config) benchProgramKeyed(name string) (isa.Program, string, error) {
-	p, err := workload.ProfileByName(name)
-	if err != nil {
-		return nil, "", err
-	}
-	p.Iterations = c.Iterations
-	return workload.GenerateCached(p), "prog:" + sim.Fingerprint(p), nil
-}
-
-// stressProgramKeyed is stressProgram plus its parameter fingerprint.
-func (c Config) stressProgramKeyed() (isa.Program, string) {
-	p := workload.StressmarkParams{Iterations: c.StressIter}
-	return workload.StressmarkCached(p), "stress:" + sim.Fingerprint(p)
+	prog isa.Program
+	opts core.Options
 }
 
 // baseJob describes an uncontrolled run at the study's standard budget.
-func (c Config) baseJob(prog isa.Program, progKey string, pct float64) runJob {
-	return runJob{prog: prog, progKey: progKey, opts: c.baseOptions(pct)}
+func (c Config) baseJob(prog isa.Program, pct float64) runJob {
+	return runJob{prog: prog, opts: c.baseOptions(pct)}
 }
 
-// uncontrolledFullJob mirrors uncontrolledFull as a job description.
-func (c Config) uncontrolledFullJob(prog isa.Program, progKey string, pct float64) runJob {
-	j := c.baseJob(prog, progKey, pct)
+// uncontrolledFullJob describes an uncontrolled run with the controlled
+// runs' budget, so that both retire the full program (performance =
+// cycles ratio).
+func (c Config) uncontrolledFullJob(prog isa.Program, pct float64) runJob {
+	j := c.baseJob(prog, pct)
 	j.opts.Spec.Budget.MaxCycles = c.Cycles * 4
 	return j
 }
 
-// controlledJob mirrors controlled as a job description.
-func (c Config) controlledJob(prog isa.Program, progKey string, pct float64, mech actuator.Mechanism, delay int, noiseMV float64) runJob {
-	j := c.uncontrolledFullJob(prog, progKey, pct)
+// controlledJob describes one controlled run. Controlled runs take longer,
+// so it keeps uncontrolledFullJob's headroom.
+func (c Config) controlledJob(prog isa.Program, pct float64, mech actuator.Mechanism, delay int, noiseMV float64) runJob {
+	j := c.uncontrolledFullJob(prog, pct)
 	j.opts.Spec.Control.Enabled = true
 	j.opts.Spec.Actuator.Mechanism = mech.Name
 	j.opts.Spec.Sensor.DelayCycles = delay
@@ -82,13 +66,12 @@ func (c Config) controlledJob(prog isa.Program, progKey string, pct float64, mec
 }
 
 // cacheableRun reports whether a job's complete Result is safe to memoize:
-// it needs a program identity, must not carry a code-attached responder
-// (not fingerprintable), must not want private trace buffers, and must not
-// stream telemetry (an enabled tracer observes every cycle; serving such a
-// run from cache would silently drop its stream).
-func cacheableRun(progKey string, opts core.Options) bool {
-	return progKey != "" && opts.Responder == nil && !opts.RecordTraces &&
-		!opts.Telemetry.Enabled()
+// it must not carry a code-attached responder (not fingerprintable), must
+// not want private trace buffers, and must not stream telemetry (an
+// enabled tracer observes every cycle; serving such a run from cache would
+// silently drop its stream).
+func cacheableRun(opts core.Options) bool {
+	return opts.Responder == nil && !opts.RecordTraces && !opts.Telemetry.Enabled()
 }
 
 // canonicalRunSpec maps a spec to a representative of its behavioral
@@ -120,71 +103,30 @@ func canonicalRunSpec(s spec.RunSpec) spec.RunSpec {
 	return r
 }
 
-// runKey is a job's full behavioral identity.
-func runKey(progKey string, opts core.Options) string {
-	return progKey + "|" + sim.Fingerprint(canonicalRunSpec(opts.Spec))
+// runKey is a job's full behavioral identity: the program's content digest
+// and the fingerprint of its canonical spec.
+type runKey struct {
+	prog [sha256.Size]byte
+	spec string
 }
 
-// runKeyed executes one job through the run cache (when cacheable),
-// threading the program identity so the machine-trace cache applies
-// either way.
-func (c Config) runKeyed(j runJob) (*core.Result, error) {
-	opts := j.opts
-	opts.ProgKey = j.progKey
-	if !cacheableRun(j.progKey, opts) {
-		return run(j.prog, opts)
+// runKeyed executes one job through the run cache when it is cacheable,
+// and directly otherwise. Either way the Result is bit-identical to a
+// fresh run of the same job.
+func runKeyed(j runJob) (*core.Result, error) {
+	if !cacheableRun(j.opts) {
+		return j.run()
 	}
-	return runCache.Get(runKey(j.progKey, opts), func() (*core.Result, error) {
-		return run(j.prog, opts)
-	})
+	key := runKey{prog: j.prog.Digest(), spec: sim.Fingerprint(canonicalRunSpec(j.opts.Spec))}
+	return runCache.Get(key, j.run)
 }
 
-// runJobs executes a job list and returns Results in input order, spending
-// as little simulation as possible: cache hits are taken up front,
-// duplicate keys within the list run once, and every remaining job is one
-// sweep item. Every job's Result is bit-identical to a plain run() of the
-// same options.
-func (c Config) runJobs(jobs []runJob) ([]*core.Result, error) {
-	results := make([]*core.Result, len(jobs))
-	keys := make([]string, len(jobs))
-	follower := map[int]int{} // duplicate job -> its leader
-	leaderOf := map[string]int{}
-	var pending []int
-	for i, j := range jobs {
-		if !cacheableRun(j.progKey, j.opts) {
-			pending = append(pending, i)
-			continue
-		}
-		keys[i] = runKey(j.progKey, j.opts)
-		if r, ok := runCache.Lookup(keys[i]); ok {
-			results[i] = r
-			continue
-		}
-		if l, ok := leaderOf[keys[i]]; ok {
-			follower[i] = l
-			continue
-		}
-		leaderOf[keys[i]] = i
-		pending = append(pending, i)
-	}
-
-	res, err := sweep(c, pending, func(idx int) (*core.Result, error) {
-		j := jobs[idx]
-		opts := j.opts
-		opts.ProgKey = j.progKey
-		return run(j.prog, opts)
-	})
+// run executes the job's system, recycling pooled buffers afterwards.
+func (j runJob) run() (*core.Result, error) {
+	sys, err := core.NewSystem(j.prog, j.opts)
 	if err != nil {
 		return nil, err
 	}
-	for k, idx := range pending {
-		if keys[idx] != "" {
-			runCache.Put(keys[idx], res[k])
-		}
-		results[idx] = res[k]
-	}
-	for i, l := range follower {
-		results[i] = results[l]
-	}
-	return results, nil
+	defer sys.Close()
+	return sys.Run()
 }

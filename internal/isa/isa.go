@@ -12,6 +12,8 @@
 package isa
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -262,6 +264,21 @@ func (in Instr) WritesFP() bool {
 
 // Program is a sequence of instructions addressed by index.
 type Program []Instr
+
+// Digest is the program's content hash: a SHA-256 over every
+// instruction's opcode, registers and immediate in a fixed binary layout.
+// Equal programs share a digest wherever they came from — a generator, the
+// assembler or a hand-built slice — so it is the program's identity in
+// every run-level cache.
+func (p Program) Digest() [sha256.Size]byte {
+	const instrLen = 12 // op, dst, src1, src2, imm
+	buf := make([]byte, 0, instrLen*len(p))
+	for _, in := range p {
+		buf = append(buf, byte(in.Op), in.Dst, in.Src1, in.Src2)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(in.Imm))
+	}
+	return sha256.Sum256(buf)
+}
 
 // PCByteAddr converts an instruction index to a byte address for the
 // I-cache model.

@@ -379,3 +379,33 @@ func TestPCByteAddr(t *testing.T) {
 		t.Errorf("PCByteAddr(3) = %d", PCByteAddr(3))
 	}
 }
+
+// TestDigestCoversEveryField: equal programs share a digest, and changing
+// any one field of any instruction, or the length, changes it.
+func TestDigestCoversEveryField(t *testing.T) {
+	base := Program{{Op: LDI, Dst: 1, Imm: 7}, {Op: ADD, Dst: 2, Src1: 1, Src2: 1}, {Op: HALT}}
+	if base.Digest() != append(Program(nil), base...).Digest() {
+		t.Fatal("equal programs have different digests")
+	}
+	edits := []func(p Program){
+		func(p Program) { p[0].Op = ADDI },
+		func(p Program) { p[1].Dst = 3 },
+		func(p Program) { p[1].Src1 = 2 },
+		func(p Program) { p[1].Src2 = 2 },
+		func(p Program) { p[0].Imm = 8 },
+		func(p Program) { p[0].Imm = -7 },
+	}
+	seen := map[[32]byte]int{base.Digest(): -1}
+	for i, edit := range edits {
+		p := append(Program(nil), base...)
+		edit(p)
+		d := p.Digest()
+		if j, ok := seen[d]; ok {
+			t.Errorf("edit %d shares a digest with %d", i, j)
+		}
+		seen[d] = i
+	}
+	if base[:2].Digest() == base.Digest() {
+		t.Error("a prefix shares the program's digest")
+	}
+}

@@ -287,9 +287,12 @@ func TestServerConcurrentMemoSingleflight(t *testing.T) {
 	defer ts.Close()
 
 	resetAllCaches()
-	experiments.SetMemoCapacity(2)
+	memoCap, _ := sim.CacheCapacity("experiments_memo")
+	if err := sim.SetCacheCapacity("experiments_memo", 2); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
-		experiments.SetMemoCapacity(64)
+		_ = sim.SetCacheCapacity("experiments_memo", memoCap)
 		resetAllCaches()
 	}()
 	before := experiments.MemoStats()

@@ -197,49 +197,6 @@ func (c *Cache[K, V]) unlinkLocked(e *cacheEntry[K, V]) {
 	e.linked = false
 }
 
-// Lookup returns the cached value for k only if its computation has
-// already completed; it never blocks and never computes. In-flight entries
-// report (zero, false) — a caller that cannot wait must treat them as
-// absent. A found entry counts as a hit and is refreshed in the LRU order;
-// an absent or in-flight one counts as a miss. The batch scheduler probes
-// with this before grouping the misses into one lockstep computation.
-func (c *Cache[K, V]) Lookup(k K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok && e.linked {
-		c.stats.Hits++
-		c.unlinkLocked(e)
-		c.linkFrontLocked(e)
-		return e.val, true
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
-}
-
-// Put stores a value computed outside the cache (e.g. by the batch
-// scheduler, which probed with Lookup, ran the misses itself, and now
-// backfills). It counts neither hit nor miss — the Lookup already counted
-// the miss — and leaves existing or in-flight entries untouched: values
-// are deterministic functions of their key, so whichever copy resides is
-// interchangeable, and an in-flight computation keeps singleflight
-// ownership.
-func (c *Cache[K, V]) Put(k K, v V) {
-	c.mu.Lock()
-	if _, ok := c.entries[k]; ok {
-		c.mu.Unlock()
-		return
-	}
-	e := &cacheEntry[K, V]{key: k, val: v}
-	e.once.Do(func() {}) // mark computed: a later Get must not re-run
-	c.entries[k] = e
-	c.linkFrontLocked(e)
-	evicted := c.evictLocked()
-	name, remaining := c.name, len(c.entries)
-	c.mu.Unlock()
-	logEviction(name, evicted, remaining)
-}
-
 // Len reports the number of resident entries (completed plus in-flight).
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

@@ -570,9 +570,10 @@ func TestRegisterCacheResetAndStats(t *testing.T) {
 	if capacity, ok := CacheCapacity("test_registry"); !ok || capacity != 4 {
 		t.Fatalf("CacheCapacity = %d, %v", capacity, ok)
 	}
-	c.Put("a", 1)
-	if _, ok := c.Lookup("a"); !ok {
-		t.Fatal("lookup after put missed")
+	for range 2 {
+		if _, err := c.Get("a", func() (int, error) { return 1, nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, ok := AllCacheStats()["test_registry"]
 	if !ok || st.Hits != 1 {

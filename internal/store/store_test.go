@@ -80,6 +80,34 @@ func TestDecodeEntryRejectsDamage(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEntry feeds arbitrary bytes to DecodeEntry, the parser every
+// entry file read from disk goes through. It must never panic, and a
+// successful decode must return the digest of the body it returns. The
+// input's first line and the rest, taken as a key and a body, must also
+// survive EncodeEntry: for any key the store accepts (non-empty, one
+// line), decoding the encoding returns the same key, body and digest. The
+// committed corpus holds valid, truncated, bit-flipped and bad-length
+// entries; `go test -fuzz FuzzDecodeEntry ./internal/store` explores
+// further.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		if key, body, digest, err := DecodeEntry(entry); err == nil && digest != Digest(body) {
+			t.Fatalf("decoded key %q with digest %s, but the body hashes to %s", key, digest, Digest(body))
+		}
+		key, body, _ := bytes.Cut(entry, []byte("\n"))
+		if len(key) == 0 {
+			return
+		}
+		gotKey, gotBody, digest, err := DecodeEntry(EncodeEntry(string(key), body))
+		if err != nil {
+			t.Fatalf("EncodeEntry(%q, %q) does not decode: %v", key, body, err)
+		}
+		if gotKey != string(key) || !bytes.Equal(gotBody, body) || digest != Digest(body) {
+			t.Fatalf("EncodeEntry(%q, %q) decodes to (%q, %q, %s)", key, body, gotKey, gotBody, digest)
+		}
+	})
+}
+
 func TestETagStrongAndDistinct(t *testing.T) {
 	e1 := ETag("k1", Digest([]byte("a")))
 	e2 := ETag("k1", Digest([]byte("b")))
