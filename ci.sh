@@ -72,7 +72,8 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 # contract of the PDN's modal recursion — Run (modal, exact only near a
 # decision edge) equal (==) to a cycle-by-cycle exact StepCycle loop on
 # every Result field, single- and multi-rail, at every sensor delay, with
-# thresholds pinned on observed voltages; the solver's 175-point threshold
+# thresholds pinned on observed voltages, and for controlled runs that
+# replay a machine trace until control first acts; the solver's 175-point threshold
 # golden and its edge-placement test; the locality study's five-rail
 # golden; the machine half's golden (core + power model on every benchmark
 # and the stressmark, free-running and under a fixed gating/phantom/flush
@@ -91,6 +92,12 @@ go test -run NONE -fuzz FuzzModalMatchesExact -fuzztime=10s ./internal/pdn
 # decoded digest, and every storable key and body must survive an
 # encode/decode round trip.
 go test -run NONE -fuzz FuzzDecodeEntry -fuzztime=10s ./internal/store
+
+# Spec-path fuzzing: arbitrary JSON decoded into a run spec, resolved
+# (defaults, then Validate) and, when it resolves, built by core.NewSystem;
+# neither step may panic. The committed corpus seeds it with the default,
+# a sparse, a controlled and a three-rail spec.
+go test -run NONE -fuzz FuzzSpecNewSystem -fuzztime=10s ./internal/core
 
 # Result-store smoke test under the race detector: concurrent identical
 # requests cost exactly one engine run (wire singleflight), a restarted

@@ -78,13 +78,13 @@ func TestOpenLoopTraceCacheReuse(t *testing.T) {
 	}
 }
 
-// TestMachineTraceChunks: a default-budget open-loop run (a budget far
-// past its retirement) caches its cycles plus less than one chunk, in
+// TestMachineTraceChunks: an open-loop run whose budget is the trace cap,
+// far past its retirement, caches its cycles plus less than one chunk, in
 // full chunks but the last; a budget-bound run caches exactly its cycles.
 func TestMachineTraceChunks(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	for _, maxCycles := range []uint64{0, 2*traceChunk + 3} {
+	for _, maxCycles := range []uint64{maxTraceCycles, 2*traceChunk + 3} {
 		opts := knobs{ImpedancePct: 2, MaxCycles: maxCycles}.options()
 		sys, err := NewSystem(alternator(3000), opts)
 		if err != nil {
@@ -100,10 +100,10 @@ func TestMachineTraceChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := sys.spec.Budget.MaxCycles
-		if maxCycles == 0 && res.Cycles > budget/100 {
-			t.Fatalf("default budget: ran %d of %d cycles; want a run that retires early", res.Cycles, budget)
+		if maxCycles == maxTraceCycles && res.Cycles > budget/20 {
+			t.Fatalf("capped budget: ran %d of %d cycles; want a run that retires early", res.Cycles, budget)
 		}
-		if maxCycles != 0 && res.Cycles != maxCycles {
+		if maxCycles != maxTraceCycles && res.Cycles != maxCycles {
 			t.Fatalf("bounded budget: ran %d cycles, want %d", res.Cycles, maxCycles)
 		}
 		held, n := 0, 0
@@ -117,7 +117,7 @@ func TestMachineTraceChunks(t *testing.T) {
 		if uint64(n) != res.Cycles || len(mr.chunks) < 2 {
 			t.Errorf("budget %d: %d chunks hold %d currents for %d cycles", budget, len(mr.chunks), n, res.Cycles)
 		}
-		if spare := held - n; spare >= traceChunk || (maxCycles != 0 && spare != 0) {
+		if spare := held - n; spare >= traceChunk || (maxCycles != maxTraceCycles && spare != 0) {
 			t.Errorf("budget %d: %d floats reserved beyond the run's %d cycles", budget, spare, res.Cycles)
 		}
 	}

@@ -29,7 +29,10 @@ import (
 // RUU=256 point is table2's stressmark at 200%), 11 machine traces cover
 // every open-loop run, and 19 threshold solves cover every controlled
 // configuration (the solve key is workload- and mechanism-boolean-
-// independent).
+// independent). The trace hits include one per controlled run that
+// replays its open-loop twin's trace: 64 of them, because every study
+// sweeps its uncontrolled baselines before its controlled grid, so the
+// twin's trace is complete when a controlled run looks it up.
 func TestQuickSweepCacheCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-experiment sweep is slow")
@@ -53,6 +56,6 @@ func TestQuickSweepCacheCounts(t *testing.T) {
 	check("program", workload.ProgramCacheStats(), 90, 3)
 	check("stressmark", workload.StressmarkCacheStats(), 24, 1)
 	check("run", experiments.RunCacheStats(), 22, 87)
-	check("trace", core.TraceCacheStats(), 12, 11)
+	check("trace", core.TraceCacheStats(), 76, 11)
 	check("solve", control.SolveCacheStats(), 45, 19)
 }

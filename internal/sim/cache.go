@@ -150,6 +150,25 @@ func (c *Cache[K, V]) Get(k K, compute func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
+// Peek returns the value cached for k if its computation has completed.
+// It never computes and never waits: an absent key, or one still being
+// computed, reports false. A found entry counts as a hit and becomes the
+// most recently used; an absent one counts nothing, so a caller that goes
+// on to fill the key through Get counts the miss there.
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[k]
+	if !ok || !e.linked {
+		var zero V
+		return zero, false
+	}
+	c.stats.Hits++
+	c.unlinkLocked(e)
+	c.linkFrontLocked(e)
+	return e.val, true
+}
+
 // evictLocked drops least-recently-used completed entries until the map
 // fits the capacity again, returning how many it dropped (callers log
 // after releasing the mutex). In-flight entries are unlinked and therefore

@@ -209,6 +209,53 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestCachePeek: Peek returns only completed entries, never computes and
+// never waits on an entry still being computed; it counts a hit when it
+// finds one and nothing otherwise, and refreshes the entry's recency.
+func TestCachePeek(t *testing.T) {
+	c := NewCache[string, int](2)
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("a missed Peek touched the cache: %+v", st)
+	}
+	release, started := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.Get("slow", func() (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+	}()
+	<-started
+	if _, ok := c.Peek("slow"); ok {
+		t.Fatal("Peek returned an entry still being computed")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Peek("slow"); !ok || v != 7 {
+		t.Fatalf("Peek after completion = %d, %v; want 7, true", v, ok)
+	}
+	if _, err := c.Get("a", func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	// "slow" is now least recently used; a Peek makes it the most recent,
+	// so the next insertion evicts "a" instead.
+	c.Peek("slow")
+	if _, err := c.Get("b", func() (int, error) { return 2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Peek("a"); ok {
+		t.Error("the entry Peek refreshed was evicted before the older one")
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 3 {
+		t.Errorf("stats %+v; want 2 hits (the found Peeks) and 3 misses (the Gets)", st)
+	}
+}
+
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache[int, int](0)
 	boom := errors.New("boom")
