@@ -77,10 +77,11 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 # golden and its edge-placement test; the locality study's five-rail
 # golden; the machine half's golden (core + power model on every benchmark
 # and the stressmark, free-running and under a fixed gating/phantom/flush
-# schedule); and the modal fuzz target's committed corpus.
+# schedule); the core's store queue against an age-ordered window walk on
+# every load of those runs; and the modal fuzz target's committed corpus.
 go test -race -count=1 \
-    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestMachineGolden|TestLocalityGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
-    ./internal/experiments ./internal/core ./internal/control ./internal/pdn
+    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestMachineGolden|TestStoreQueueMatchesScan|TestLocalityGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
+    ./internal/experiments ./internal/core ./internal/cpu ./internal/control ./internal/pdn
 
 # Modal fuzzing: random networks and current traces; every modal estimate
 # must lie within its error bound of the exact voltage (or the network
@@ -98,6 +99,13 @@ go test -run NONE -fuzz FuzzDecodeEntry -fuzztime=10s ./internal/store
 # neither step may panic. The committed corpus seeds it with the default,
 # a sparse, a controlled and a three-rail spec.
 go test -run NONE -fuzz FuzzSpecNewSystem -fuzztime=10s ./internal/core
+
+# Request-decoder fuzzing: arbitrary bodies through didtd's simulate,
+# sweep and batch decoders (everything a request does before it admits
+# work); none may panic, a rejected body is answered 400/413 with the
+# error envelope, and an accepted one decodes to validated work. The
+# committed corpus holds a valid and an invalid body per endpoint.
+go test -run NONE -fuzz FuzzDecodeRequests -fuzztime=10s ./internal/server
 
 # Result-store smoke test under the race detector: concurrent identical
 # requests cost exactly one engine run (wire singleflight), a restarted

@@ -35,6 +35,34 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxEntries caps every predictor structure, 32 times Table 1's largest
+// table, so that no configuration sizes one without bound.
+const MaxEntries = 1 << 20
+
+func (c Config) withDefaults() Config {
+	d := DefaultConfig()
+	if c.BimodalEntries == 0 {
+		c.BimodalEntries = d.BimodalEntries
+	}
+	if c.GshareEntries == 0 {
+		c.GshareEntries = d.GshareEntries
+	}
+	if c.ChooserEntries == 0 {
+		c.ChooserEntries = d.ChooserEntries
+	}
+	if c.BTBEntries == 0 {
+		c.BTBEntries = d.BTBEntries
+	}
+	if c.RASEntries == 0 {
+		c.RASEntries = d.RASEntries
+	}
+	return c
+}
+
+// Validate checks the sizes, with zero fields resolved to the defaults as
+// New resolves them, without building the predictor.
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
 func (c Config) validate() error {
 	for _, v := range []struct {
 		name string
@@ -45,12 +73,12 @@ func (c Config) validate() error {
 		{"ChooserEntries", c.ChooserEntries},
 		{"BTBEntries", c.BTBEntries},
 	} {
-		if v.n <= 0 || v.n&(v.n-1) != 0 {
-			return fmt.Errorf("bpred: %s must be a positive power of two, got %d", v.name, v.n)
+		if v.n <= 0 || v.n&(v.n-1) != 0 || v.n > MaxEntries {
+			return fmt.Errorf("bpred: %s must be a power of two in [1, %d], got %d", v.name, MaxEntries, v.n)
 		}
 	}
-	if c.RASEntries <= 0 {
-		return fmt.Errorf("bpred: RASEntries must be positive, got %d", c.RASEntries)
+	if c.RASEntries <= 0 || c.RASEntries > MaxEntries {
+		return fmt.Errorf("bpred: RASEntries must lie in [1, %d], got %d", MaxEntries, c.RASEntries)
 	}
 	return nil
 }
@@ -84,22 +112,7 @@ type btbEntry struct {
 
 // New builds a predictor; zero-valued Config fields take defaults.
 func New(cfg Config) (*Predictor, error) {
-	d := DefaultConfig()
-	if cfg.BimodalEntries == 0 {
-		cfg.BimodalEntries = d.BimodalEntries
-	}
-	if cfg.GshareEntries == 0 {
-		cfg.GshareEntries = d.GshareEntries
-	}
-	if cfg.ChooserEntries == 0 {
-		cfg.ChooserEntries = d.ChooserEntries
-	}
-	if cfg.BTBEntries == 0 {
-		cfg.BTBEntries = d.BTBEntries
-	}
-	if cfg.RASEntries == 0 {
-		cfg.RASEntries = d.RASEntries
-	}
+	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

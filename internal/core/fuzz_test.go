@@ -13,7 +13,9 @@ import (
 // a spec that Validate accepts either builds or returns an error. The
 // committed corpus holds the resolved default spec
 // (internal/spec/testdata/default_spec.json), a sparse one, a controlled
-// one and a three-rail spec with coupling, per-rail sensing and DVS;
+// one, a three-rail spec with coupling, per-rail sensing and DVS, and
+// three with a negative unit count or fetch-queue length (once accepted by
+// Validate, then a makeslice panic in cpu.New);
 // `go test -fuzz FuzzSpecNewSystem ./internal/core` explores further.
 func FuzzSpecNewSystem(f *testing.F) {
 	prog := alternator(2)

@@ -140,16 +140,38 @@ func (c Config) WithDefaults() Config {
 // cycles, so it must stay a power of two.
 const MaxFULatency = 64
 
+// Size caps. They sit far above Table 1 and every study (the window
+// ablation's largest RUU has 256 entries), so that no configuration sizes
+// the core's queues and unit pools, or the power model's per-unit tables,
+// without bound.
+const (
+	MaxQueue = 4096 // RUUSize, LSQSize, FetchQLen
+	MaxWidth = 64   // pipeline widths and functional-unit counts
+)
+
 // Validate checks structural invariants on a resolved configuration.
 func (c Config) Validate() error {
-	if c.RUUSize < 2 {
-		return fmt.Errorf("cpu: RUUSize %d too small", c.RUUSize)
+	for _, v := range []struct {
+		name      string
+		n, lo, hi int
+	}{
+		{"RUUSize", c.RUUSize, 2, MaxQueue}, {"LSQSize", c.LSQSize, 1, MaxQueue},
+		{"FetchQLen", c.FetchQLen, 1, MaxQueue},
+		{"FetchWidth", c.FetchWidth, 1, MaxWidth}, {"DecodeWidth", c.DecodeWidth, 1, MaxWidth},
+		{"IssueWidth", c.IssueWidth, 1, MaxWidth}, {"CommitWidth", c.CommitWidth, 1, MaxWidth},
+		{"IntALU", c.IntALU, 1, MaxWidth}, {"IntMult", c.IntMult, 1, MaxWidth},
+		{"FPALU", c.FPALU, 1, MaxWidth}, {"FPMult", c.FPMult, 1, MaxWidth},
+		{"MemPorts", c.MemPorts, 1, MaxWidth},
+	} {
+		if v.n < v.lo || v.n > v.hi {
+			return fmt.Errorf("cpu: %s %d outside [%d, %d]", v.name, v.n, v.lo, v.hi)
+		}
 	}
-	if c.LSQSize < 1 {
-		return fmt.Errorf("cpu: LSQSize %d too small", c.LSQSize)
+	if err := c.Bpred.Validate(); err != nil {
+		return err
 	}
-	if c.FetchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1 || c.DecodeWidth < 1 {
-		return fmt.Errorf("cpu: pipeline widths must be positive")
+	if err := c.Mem.Validate(); err != nil {
+		return err
 	}
 	for _, l := range []struct {
 		name string

@@ -41,43 +41,60 @@ type prodRef struct {
 	seq uint64
 }
 
+// decoded is one static instruction's decode, done once per program
+// instruction in New, so fetch and the pipeline stages never re-run the
+// opcode switches for a dynamic instruction.
+type decoded struct {
+	class isa.Class
+	fu    fuGroup
+
+	isBranch, isLoad, isStore bool
+	writesInt, writesFP       bool // excluding the zero registers
+	halt                      bool
+
+	dst  uint8 // register written when writesInt/writesFP (LinkReg for CALL)
+	nsrc uint8
+	srcs [3]regRef
+}
+
 type entry struct {
+	decoded
+
 	in    isa.Instr
 	pc    int
 	seq   uint64
 	out   isa.Outcome
 	pred  bpred.Prediction
-	class isa.Class
 	state uint8
 
-	isBranch bool
-	mispred  bool
+	mispred bool
 
 	waitCnt   int
 	consumers []prodRef // younger entries waiting on this result
 
-	isLoad, isStore bool
-	addrReady       bool // stores: address generated
-
-	// Decoded once at dispatch, so issue, writeback and commit do not
-	// re-run the opcode switches: source-register count and whether the
-	// instruction writes an int or fp register.
-	nsrc                int
-	writesInt, writesFP bool
+	addrReady bool   // stores: address generated
+	sqAt      uint64 // loads: stores dispatched before this load (sqTail)
 
 	doneAt uint64
 }
 
 type fetchSlot struct {
-	in   isa.Instr
 	pc   int
 	pred bpred.Prediction
+}
+
+// sqEntry is one in-flight store: its RUU index and the 8-byte word it
+// writes (known at dispatch, since execution happens there).
+type sqEntry struct {
+	idx  int32
+	word uint64
 }
 
 // CPU is one core instance. It is not safe for concurrent use.
 type CPU struct {
 	cfg  Config
 	prog isa.Program
+	dec  []decoded // dec[pc] decodes prog[pc]
 	arch *isa.ArchState
 
 	Pred *bpred.Predictor
@@ -92,9 +109,15 @@ type CPU struct {
 	count int
 	seq   uint64
 
-	lsq      []int32 // RUU indices of in-flight memory ops, oldest first
-	lsqHead  int
-	lsqCount int
+	lsqCount int // in-flight loads and stores
+
+	// Store queue: the in-flight stores in program order, in a ring indexed
+	// by monotonic counters masked to its power-of-two length. Stores
+	// [sqHead, sqTail) are in flight; sqUnres is the oldest one whose
+	// address may still be unresolved, advanced lazily by loadOrder.
+	sq                      []sqEntry
+	sqMask                  uint64
+	sqHead, sqTail, sqUnres uint64
 
 	// Per-class execution latency and pipelining, built once from the
 	// Config in New.
@@ -155,14 +178,20 @@ func New(cfg Config, prog isa.Program) (*CPU, error) {
 		return nil, err
 	}
 	m := hier.Config()
+	sqLen := 1
+	for sqLen < cfg.LSQSize {
+		sqLen <<= 1
+	}
 	c := &CPU{
 		cfg:          cfg,
 		prog:         prog,
+		dec:          make([]decoded, len(prog)),
 		arch:         isa.NewArchState(),
 		Pred:         pred,
 		Mem:          hier,
 		ruu:          make([]entry, cfg.RUUSize),
-		lsq:          make([]int32, cfg.LSQSize),
+		sq:           make([]sqEntry, sqLen),
+		sqMask:       uint64(sqLen - 1),
 		fetchQ:       make([]fetchSlot, cfg.FetchQLen),
 		seq:          1,
 		curFetchLine: ^uint64(0),
@@ -176,6 +205,9 @@ func New(cfg Config, prog isa.Program) (*CPU, error) {
 	}
 	for g := fuGroup(0); g < numFUGroups; g++ {
 		c.fuBusy[g] = make([]uint64, cfg.groupSize(g))
+	}
+	for pc, in := range prog {
+		c.dec[pc] = decode(in)
 	}
 	telemetry.Default().Counter("cpu.machines_built_total").Inc()
 	return c, nil
@@ -391,27 +423,20 @@ func (c *CPU) commit(act *Activity) {
 			if res.L2Used {
 				act.L2Access++
 			}
+			c.sqHead++ // stores commit in order: this is the oldest
 		}
-		// Free register-status entries that still point here.
+		// Free the register-status entry if it still points here.
 		if e.writesInt {
-			if p := &c.intProd[e.in.Dst]; p.idx == idx && p.seq == e.seq {
+			if p := &c.intProd[e.dst]; p.idx == idx && p.seq == e.seq {
 				p.seq = 0
-			}
-			if e.in.Op == isa.CALL {
-				if p := &c.intProd[isa.LinkReg]; p.idx == idx && p.seq == e.seq {
-					p.seq = 0
-				}
 			}
 		}
 		if e.writesFP {
-			if p := &c.fpProd[e.in.Dst]; p.idx == idx && p.seq == e.seq {
+			if p := &c.fpProd[e.dst]; p.idx == idx && p.seq == e.seq {
 				p.seq = 0
 			}
 		}
 		if e.isLoad || e.isStore {
-			if c.lsqHead++; c.lsqHead == len(c.lsq) {
-				c.lsqHead = 0
-			}
 			c.lsqCount--
 		}
 		e.seq = 0
@@ -421,7 +446,7 @@ func (c *CPU) commit(act *Activity) {
 		c.count--
 		act.Committed++
 		c.stats.Instructions++
-		if e.in.Op == isa.HALT {
+		if e.halt {
 			c.done = true
 			return
 		}
@@ -474,7 +499,7 @@ func (c *CPU) tryIssue(idx int32, e *entry, act *Activity) bool {
 		if c.gating.DL1 {
 			return false
 		}
-		fwd, ok := c.loadOrderingOK(idx, e)
+		fwd, ok := c.loadOrder(e)
 		if !ok {
 			return false
 		}
@@ -495,7 +520,7 @@ func (c *CPU) tryIssue(idx int32, e *entry, act *Activity) bool {
 		lat = c.classLat[e.class]
 	}
 	// Allocate a functional unit.
-	grp := groupOf(e.class)
+	grp := e.fu
 	unit := -1
 	for u, busy := range c.fuBusy[grp] {
 		if busy <= c.cycle {
@@ -525,37 +550,32 @@ func (c *CPU) tryIssue(idx int32, e *entry, act *Activity) bool {
 		act.L2Access++
 	}
 	// Register-file read traffic.
-	act.RegReads += e.nsrc
+	act.RegReads += int(e.nsrc)
 	return true
 }
 
-// loadOrderingOK enforces conservative load/store ordering: a load may
-// issue only after every older store in the LSQ has generated its address.
-// It reports (forwarded, ok): forwarded means an older store to the same
-// word supplies the data directly.
-func (c *CPU) loadOrderingOK(idx int32, e *entry) (bool, bool) {
-	fwd := false
-	k := c.lsqHead
-	for i := 0; i < c.lsqCount; i++ {
-		j := c.lsq[k]
-		if k++; k == len(c.lsq) {
-			k = 0
-		}
-		se := &c.ruu[j]
-		if j == idx {
-			break // reached the load itself; older stores all checked
-		}
-		if !se.isStore {
-			continue
-		}
-		if !se.addrReady {
-			return false, false
-		}
-		if se.out.EA>>3 == e.out.EA>>3 {
-			fwd = true // youngest matching older store wins
+// loadOrder enforces conservative load/store ordering: a load may issue
+// only after every older in-flight store has generated its address. It
+// reports (forwarded, ok): forwarded means an older store to the same word
+// supplies the data directly. The older in-flight stores are queue entries
+// [sqHead, e.sqAt); sqUnres only moves forward, since a resolved store
+// stays resolved until it commits.
+func (c *CPU) loadOrder(e *entry) (bool, bool) {
+	u := max(c.sqUnres, c.sqHead)
+	for u < e.sqAt && c.ruu[c.sq[u&c.sqMask].idx].addrReady {
+		u++
+	}
+	c.sqUnres = u
+	if u < e.sqAt {
+		return false, false
+	}
+	w := e.out.EA >> 3
+	for k := e.sqAt; k > c.sqHead; k-- {
+		if c.sq[(k-1)&c.sqMask].word == w {
+			return true, true
 		}
 	}
-	return fwd, true
+	return false, true
 }
 
 func (c *CPU) dispatch(act *Activity) {
@@ -567,8 +587,8 @@ func (c *CPU) dispatch(act *Activity) {
 			return
 		}
 		slot := &c.fetchQ[c.fqHead]
-		isMem := slot.in.IsMem()
-		if isMem && c.lsqCount == c.cfg.LSQSize {
+		d := &c.dec[slot.pc]
+		if (d.isLoad || d.isStore) && c.lsqCount == c.cfg.LSQSize {
 			return
 		}
 		c.fqHead++
@@ -589,11 +609,11 @@ func (c *CPU) dispatch(act *Activity) {
 		// appends would otherwise reallocate per dispatched entry) and skips
 		// re-zeroing the large out/pred fields that the assignments below
 		// overwrite in full anyway.
-		e.in = slot.in
+		e.decoded = *d
+		e.in = c.prog[slot.pc]
 		e.pc = slot.pc
 		e.seq = c.seq
 		e.pred = slot.pred
-		e.class = isa.ClassOf(slot.in.Op)
 		e.state = stWaiting
 		e.mispred = false
 		e.waitCnt = 0
@@ -602,25 +622,18 @@ func (c *CPU) dispatch(act *Activity) {
 		e.consumers = e.consumers[:0]
 		c.seq++
 		// Functional execution: exact values, outcome and address.
-		e.out = c.arch.Exec(slot.in)
-		e.isBranch = slot.in.IsBranch()
-		e.isLoad = slot.in.IsLoad()
-		e.isStore = slot.in.IsStore()
-		if e.isLoad || e.isStore {
-			t := c.lsqHead + c.lsqCount
-			if t >= len(c.lsq) {
-				t -= len(c.lsq)
-			}
-			c.lsq[t] = pos
+		e.out = c.arch.Exec(e.in)
+		if e.isLoad {
+			e.sqAt = c.sqTail
+			c.lsqCount++
+		} else if e.isStore {
+			c.sq[c.sqTail&c.sqMask] = sqEntry{pos, e.out.EA >> 3}
+			c.sqTail++
 			c.lsqCount++
 		}
 
 		// Collect operand dependencies against in-flight producers.
-		srcs, nsrc := sourceRegs(slot.in)
-		e.nsrc = nsrc
-		e.writesInt = slot.in.WritesInt()
-		e.writesFP = slot.in.WritesFP()
-		for _, src := range srcs[:nsrc] {
+		for _, src := range e.srcs[:e.nsrc] {
 			var p *prodRef
 			if src.fp {
 				p = &c.fpProd[src.reg]
@@ -639,14 +652,10 @@ func (c *CPU) dispatch(act *Activity) {
 		}
 		// Publish this entry as the new producer of its destination.
 		if e.writesInt {
-			dst := slot.in.Dst
-			if slot.in.Op == isa.CALL {
-				dst = isa.LinkReg
-			}
-			c.intProd[dst] = prodRef{pos, e.seq}
+			c.intProd[e.dst] = prodRef{pos, e.seq}
 		}
 		if e.writesFP {
-			c.fpProd[slot.in.Dst] = prodRef{pos, e.seq}
+			c.fpProd[e.dst] = prodRef{pos, e.seq}
 		}
 
 		if e.waitCnt == 0 {
@@ -663,7 +672,7 @@ func (c *CPU) dispatch(act *Activity) {
 				return
 			}
 		}
-		if slot.in.Op == isa.HALT {
+		if e.halt {
 			c.haltSeen = true
 			return
 		}
@@ -700,16 +709,16 @@ func (c *CPU) fetch(act *Activity) {
 				return
 			}
 		}
-		in := c.prog[c.fetchPC]
+		d := &c.dec[c.fetchPC]
 		tail := c.fqHead + c.fqLen
 		if tail >= len(c.fetchQ) {
 			tail -= len(c.fetchQ)
 		}
 		// Fill the queue slot in place rather than copying a built one in.
 		slot := &c.fetchQ[tail]
-		slot.in, slot.pc = in, c.fetchPC
-		if in.IsBranch() {
-			slot.pred = c.Pred.Lookup(c.fetchPC, in)
+		slot.pc = c.fetchPC
+		if d.isBranch {
+			slot.pred = c.Pred.Lookup(c.fetchPC, c.prog[c.fetchPC])
 			act.BpredLookups++
 		} else {
 			slot.pred = bpred.Prediction{}
@@ -717,11 +726,11 @@ func (c *CPU) fetch(act *Activity) {
 		c.fqLen++
 		act.Fetched++
 		c.stats.Fetched++
-		if in.Op == isa.HALT {
+		if d.halt {
 			c.fetchHalted = true
 			return
 		}
-		if in.IsBranch() && slot.pred.Taken {
+		if d.isBranch && slot.pred.Taken {
 			c.fetchPC = slot.pred.Target
 			return // taken branch ends the fetch group
 		}
@@ -729,39 +738,47 @@ func (c *CPU) fetch(act *Activity) {
 	}
 }
 
-// sourceRegs lists the register operands an instruction reads.
+// regRef names one register operand.
 type regRef struct {
 	fp  bool
 	reg uint8
 }
 
-// sourceRegs returns the operands by value (array plus count) rather than
-// a slice: it runs for every dispatched and issued instruction, and a
-// heap-allocated slice literal per call was one of the dominant allocation
-// sites in a cold sweep.
-func sourceRegs(in isa.Instr) ([3]regRef, int) {
+// decode predecodes one static instruction.
+func decode(in isa.Instr) decoded {
+	d := decoded{
+		class:     isa.ClassOf(in.Op),
+		isBranch:  in.IsBranch(),
+		isLoad:    in.IsLoad(),
+		isStore:   in.IsStore(),
+		writesInt: in.WritesInt(),
+		writesFP:  in.WritesFP(),
+		halt:      in.Op == isa.HALT,
+		dst:       in.Dst,
+	}
+	d.fu = groupOf(d.class)
+	if in.Op == isa.CALL {
+		d.dst = isa.LinkReg
+	}
+	// The register operands the instruction reads.
 	switch in.Op {
 	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR,
 		isa.CMPLT, isa.CMPEQ, isa.MUL, isa.DIV:
-		return [3]regRef{{false, in.Src1}, {false, in.Src2}}, 2
+		d.srcs, d.nsrc = [3]regRef{{false, in.Src1}, {false, in.Src2}}, 2
 	case isa.CMOVNZ:
-		return [3]regRef{{false, in.Src1}, {false, in.Src2}, {false, in.Dst}}, 3
-	case isa.ADDI:
-		return [3]regRef{{false, in.Src1}}, 1
+		d.srcs, d.nsrc = [3]regRef{{false, in.Src1}, {false, in.Src2}, {false, in.Dst}}, 3
+	case isa.ADDI, isa.LD, isa.FLD, isa.BEQZ, isa.BNEZ:
+		d.srcs, d.nsrc = [3]regRef{{false, in.Src1}}, 1
 	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		return [3]regRef{{true, in.Src1}, {true, in.Src2}}, 2
-	case isa.LD, isa.FLD:
-		return [3]regRef{{false, in.Src1}}, 1
+		d.srcs, d.nsrc = [3]regRef{{true, in.Src1}, {true, in.Src2}}, 2
 	case isa.ST:
-		return [3]regRef{{false, in.Src1}, {false, in.Src2}}, 2
+		d.srcs, d.nsrc = [3]regRef{{false, in.Src1}, {false, in.Src2}}, 2
 	case isa.FST:
-		return [3]regRef{{false, in.Src1}, {true, in.Src2}}, 2
-	case isa.BEQZ, isa.BNEZ:
-		return [3]regRef{{false, in.Src1}}, 1
+		d.srcs, d.nsrc = [3]regRef{{false, in.Src1}, {true, in.Src2}}, 2
 	case isa.RET:
-		return [3]regRef{{false, isa.LinkReg}}, 1
+		d.srcs, d.nsrc = [3]regRef{{false, isa.LinkReg}}, 1
 	}
-	return [3]regRef{}, 0
+	return d
 }
 
 // insertionSortReady keeps the ready list in ascending seq (age) order;

@@ -77,6 +77,44 @@ func TestNewValidation(t *testing.T) {
 	if err := neg.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), "Mem.L2HitLat") {
 		t.Errorf("negative L2HitLat: want range error, got %v", err)
 	}
+	// Every size that sizes an allocation is bounded on both sides:
+	// negative unit counts and queue lengths used to pass Validate and
+	// panic in New ("makeslice: len out of range"), and a huge one would
+	// size the window, the unit pools or the power model's tables without
+	// bound.
+	for _, cfg := range []Config{
+		{IntALU: -1}, {FetchQLen: -2}, {MemPorts: -1}, {IntMult: -1}, {FPALU: -7}, {FPMult: -1},
+		{RUUSize: MaxQueue + 1}, {LSQSize: -1}, {LSQSize: MaxQueue + 1}, {FetchQLen: 1 << 40},
+		{FetchWidth: MaxWidth + 1}, {DecodeWidth: -1}, {IssueWidth: 1 << 20}, {CommitWidth: -8},
+		{IntALU: MaxWidth + 1}, {MemPorts: 1 << 30},
+	} {
+		if _, err := New(cfg, halt); err == nil || !strings.Contains(err.Error(), "outside [") {
+			t.Errorf("%+v: want size range error, got %v", cfg, err)
+		}
+		if err := cfg.WithDefaults().Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", cfg)
+		}
+	}
+	bigCache := Config{}
+	bigCache.Mem.L2Bytes, bigCache.Mem.L2Ways = 1<<40, 4
+	bigBTB := Config{}
+	bigBTB.Bpred.BTBEntries = 1 << 40
+	oddCache := Config{}
+	oddCache.Mem.L1DBytes, oddCache.Mem.L1DWays = 3<<10, 2
+	for _, cfg := range []Config{bigCache, bigBTB, oddCache} {
+		if err := cfg.WithDefaults().Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", cfg)
+		}
+	}
+	// The caps themselves are accepted.
+	top := Config{
+		RUUSize: MaxQueue, LSQSize: MaxQueue, FetchQLen: MaxQueue,
+		FetchWidth: MaxWidth, DecodeWidth: MaxWidth, IssueWidth: MaxWidth, CommitWidth: MaxWidth,
+		IntALU: MaxWidth, IntMult: MaxWidth, FPALU: MaxWidth, FPMult: MaxWidth, MemPorts: MaxWidth,
+	}
+	if _, err := New(top, halt); err != nil {
+		t.Errorf("sizes at the caps rejected: %v", err)
+	}
 }
 
 func TestTrivialProgramHalts(t *testing.T) {

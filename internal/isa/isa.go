@@ -227,15 +227,6 @@ func (in Instr) IsBranch() bool {
 // IsConditional reports whether the branch outcome depends on a register.
 func (in Instr) IsConditional() bool { return in.Op == BEQZ || in.Op == BNEZ }
 
-// IsMem reports whether the instruction accesses data memory.
-func (in Instr) IsMem() bool {
-	switch in.Op {
-	case LD, ST, FLD, FST:
-		return true
-	}
-	return false
-}
-
 // IsLoad and IsStore classify memory operations.
 func (in Instr) IsLoad() bool  { return in.Op == LD || in.Op == FLD }
 func (in Instr) IsStore() bool { return in.Op == ST || in.Op == FST }

@@ -28,30 +28,46 @@ type Cache struct {
 	Misses   uint64
 }
 
+// MaxCacheLines caps each cache's line count, 32 times Table 1's
+// 32768-line L2, so that no configuration sizes the tag and LRU arrays
+// without bound.
+const MaxCacheLines = 1 << 20
+
 // NewCache builds a cache of totalBytes capacity with the given
 // associativity and line size (both powers of two).
 func NewCache(name string, totalBytes, ways, lineBytes int) (*Cache, error) {
-	if totalBytes <= 0 || ways <= 0 || lineBytes <= 0 {
-		return nil, fmt.Errorf("mem: %s: sizes must be positive", name)
+	lines, err := geometry(name, totalBytes, ways, lineBytes)
+	if err != nil {
+		return nil, err
 	}
-	if lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("mem: %s: line size %d not a power of two", name, lineBytes)
-	}
-	lines := totalBytes / lineBytes
-	if lines < ways || lines%ways != 0 {
-		return nil, fmt.Errorf("mem: %s: %d lines not divisible into %d ways", name, lines, ways)
-	}
-	sets := lines / ways
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("mem: %s: %d sets not a power of two", name, sets)
-	}
-	c := &Cache{name: name, sets: sets, ways: ways}
+	c := &Cache{name: name, sets: lines / ways, ways: ways}
 	for l := lineBytes; l > 1; l >>= 1 {
 		c.lineShift++
 	}
 	c.tags = make([]uint64, lines)
 	c.lru = make([]uint64, lines)
 	return c, nil
+}
+
+// geometry checks a cache's shape and returns its line count.
+func geometry(name string, totalBytes, ways, lineBytes int) (int, error) {
+	if totalBytes <= 0 || ways <= 0 || lineBytes <= 0 {
+		return 0, fmt.Errorf("mem: %s: sizes must be positive", name)
+	}
+	if lineBytes&(lineBytes-1) != 0 {
+		return 0, fmt.Errorf("mem: %s: line size %d not a power of two", name, lineBytes)
+	}
+	lines := totalBytes / lineBytes
+	if lines > MaxCacheLines {
+		return 0, fmt.Errorf("mem: %s: %d lines exceed the cap of %d", name, lines, MaxCacheLines)
+	}
+	if lines < ways || lines%ways != 0 {
+		return 0, fmt.Errorf("mem: %s: %d lines not divisible into %d ways", name, lines, ways)
+	}
+	if sets := lines / ways; sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("mem: %s: %d sets not a power of two", name, sets)
+	}
+	return lines, nil
 }
 
 // Access looks up addr, updates LRU and fills on miss. It returns whether
@@ -157,6 +173,21 @@ func (c Config) withDefaults() Config {
 		c.MemLat = d.MemLat
 	}
 	return c
+}
+
+// Validate checks every cache's shape, with zero fields resolved to the
+// defaults as NewHierarchy resolves them, without building the caches.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	for _, g := range []struct {
+		name        string
+		bytes, ways int
+	}{{"l1i", c.L1IBytes, c.L1IWays}, {"l1d", c.L1DBytes, c.L1DWays}, {"l2", c.L2Bytes, c.L2Ways}} {
+		if _, err := geometry(g.name, g.bytes, g.ways, c.LineBytes); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Hierarchy is the three-level memory system with gating hooks.

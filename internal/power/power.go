@@ -23,6 +23,8 @@ package power
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"didt/internal/cpu"
 	"didt/internal/isa"
@@ -146,16 +148,17 @@ type CycleReport struct {
 // calendars for multi-cycle operations and accumulates total energy; it is
 // not safe for concurrent use.
 type Model struct {
-	p   Params
-	cfg cpu.Config
+	p Params
 
 	// spread[class] is a ring of "units busy" counts for future cycles,
 	// fed at issue time with the operation's full latency; pos is the
 	// current cycle's slot. lat[class] is the number of cycles an issue of
 	// that class spreads over.
-	spread [isa.NumClasses][spreadLen]float64
+	spread [isa.NumClasses][spreadLen]int
 	lat    [isa.NumClasses]int
 	pos    int
+
+	t *unitTables // read only; shared by models of one configuration
 
 	// sumPeak is the peak power of units 1..NumUnits-1 accumulated in
 	// ascending unit order — the same order (hence the same float) the
@@ -173,56 +176,125 @@ const (
 	spreadMask = spreadLen - 1
 )
 
-// New builds a model for the given core configuration.
+// New builds a model for the given core configuration. Zero fields of cfg
+// take the Table 1 defaults; the resolved configuration must pass
+// cpu.Config.Validate, as every core cpu.New builds does, and New panics
+// if it does not, since it sizes the unit tables from it.
 func New(p Params, cfg cpu.Config) *Model {
-	m := &Model{p: p.WithDefaults(), cfg: cfg}
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic("power: " + err.Error())
+	}
+	m := &Model{p: p.WithDefaults()}
 	for cl := range m.lat {
-		m.lat[cl] = min(classLatency(cfg, isa.Class(cl)), spreadLen)
+		m.lat[cl] = classLatency(cfg, isa.Class(cl))
 	}
 	for u := Unit(1); u < NumUnits; u++ {
 		m.sumPeak += m.p.Peak[u]
 	}
+	m.t = tablesFor(m.p, cfg)
 	return m
+}
+
+// unitTables holds every unit's ungated power at every activity count it
+// can see, computed through unitPower. Unit u's count n sits at
+// tab[off[u]+n] for n in [0, lim[u]]; lim[u] is the count's full-scale
+// value, at and past which the activity fraction clamps to 1. The window
+// and the LSQ read a second count b in [0, stride[u]), at
+// off[u]+a*stride[u]+b; a pair outside that table takes the formula.
+// A table set is immutable once built.
+type unitTables struct {
+	key         tableKey
+	p           Params
+	tab         []float64
+	off         [NumUnits]int
+	lim, stride [NumUnits]int
+}
+
+// tableKey is what a table set depends on: the core configuration and the
+// bits of the idle and gated fractions and the peaks (== on floats would
+// let a -0 peak reuse a +0 peak's entries).
+type tableKey struct {
+	cfg  cpu.Config
+	bits [2 + NumUnits]uint64
+}
+
+// lastTables is the most recently built table set. Every model of a sweep
+// shares one configuration, so New reuses it instead of allocating ~24 KB
+// per system, garbage that raised an open-loop sweep's peak RSS.
+var lastTables atomic.Pointer[unitTables]
+
+// tablesFor returns the table set for resolved parameters and a validated
+// configuration, reusing the last one built when it matches.
+func tablesFor(p Params, cfg cpu.Config) *unitTables {
+	key := tableKey{cfg: cfg}
+	key.bits[0], key.bits[1] = math.Float64bits(p.IdleFraction), math.Float64bits(p.GatedFraction)
+	for u, v := range p.Peak {
+		key.bits[2+u] = math.Float64bits(v)
+	}
+	if t := lastTables.Load(); t != nil && t.key == key {
+		return t
+	}
+	t := &unitTables{key: key, p: p}
+	t.lim = [NumUnits]int{
+		UnitFetch: cfg.FetchWidth, UnitBpred: 2, UnitL1I: 1, UnitRename: cfg.DecodeWidth,
+		UnitWindow: cfg.RUUSize, UnitLSQ: cfg.LSQSize,
+		UnitRegFile: 3 * cfg.IssueWidth, UnitResultBus: cfg.IssueWidth,
+		UnitIntALU: cfg.IntALU, UnitIntMult: cfg.IntMult, UnitFPALU: cfg.FPALU, UnitFPMult: cfg.FPMult,
+		UnitL1D: cfg.MemPorts, UnitL2: 1,
+	}
+	for u := range t.stride {
+		t.stride[u] = 1
+	}
+	t.stride[UnitWindow], t.stride[UnitLSQ] = cfg.IssueWidth+1, cfg.MemPorts+1
+	n := 0
+	for u := Unit(1); u < NumUnits; u++ {
+		t.off[u] = n
+		n += (t.lim[u] + 1) * t.stride[u]
+	}
+	t.tab = make([]float64, n)
+	for u := Unit(1); u < NumUnits; u++ {
+		tu := t.tab[t.off[u]:]
+		for a := 0; a <= t.lim[u]; a++ {
+			if t.stride[u] == 1 {
+				tu[a] = unitPower(p.Peak[u], float64(a)/float64(t.lim[u]), p.IdleFraction)
+				continue
+			}
+			for b := 0; b < t.stride[u]; b++ {
+				tu[a*t.stride[u]+b] = t.power2(u, a, b)
+			}
+		}
+	}
+	lastTables.Store(t)
+	return t
 }
 
 // Params returns the resolved parameters.
 func (m *Model) Params() Params { return m.p }
 
 // classLatency mirrors the core's execution latencies for spreading.
+// Validate holds every latency in [1, MaxFULatency], so it fits the ring.
 func classLatency(cfg cpu.Config, cl isa.Class) int {
 	switch cl {
 	case isa.ClassIntALU, isa.ClassBranch:
-		return max1(cfg.LatIntALU)
+		return cfg.LatIntALU
 	case isa.ClassIntMult:
-		return max1(cfg.LatIntMult)
+		return cfg.LatIntMult
 	case isa.ClassIntDiv:
-		return max1(cfg.LatIntDiv)
+		return cfg.LatIntDiv
 	case isa.ClassFPAdd:
-		return max1(cfg.LatFPAdd)
+		return cfg.LatFPAdd
 	case isa.ClassFPMult:
-		return max1(cfg.LatFPMult)
+		return cfg.LatFPMult
 	case isa.ClassFPDiv:
-		return max1(cfg.LatFPDiv)
+		return cfg.LatFPDiv
 	}
 	return 1
 }
 
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
-// unitPower is a unit's power given its peak, its activity fraction and
-// whether the actuator has hard-gated or phantom-fired it.
-func unitPower(peak, frac, idle, gated float64, hardGated, phantom bool) float64 {
-	switch {
-	case phantom:
-		return peak // phantom firing: full rail
-	case hardGated:
-		return peak * gated
-	}
+// unitPower is an ungated unit's power given its peak and its activity
+// fraction; look adds the actuator's hard gating and phantom firing.
+func unitPower(peak, frac, idle float64) float64 {
 	if frac < 0 {
 		frac = 0
 	}
@@ -231,6 +303,42 @@ func unitPower(peak, frac, idle, gated float64, hardGated, phantom bool) float64
 	}
 	// cc3: idle floor plus activity-proportional dynamic power.
 	return peak * (idle + (1-idle)*frac)
+}
+
+// power2 is a two-count unit's ungated power: the window's activity mixes
+// RUU occupancy with issue, the LSQ's its occupancy with memory issue.
+func (t *unitTables) power2(u Unit, a, b int) float64 {
+	var frac float64
+	if u == UnitWindow {
+		frac = 0.45*(float64(a)/float64(t.key.cfg.RUUSize)) + 0.55*(float64(b)/float64(t.key.cfg.IssueWidth))
+	} else {
+		frac = 0.4*(float64(a)/float64(t.key.cfg.LSQSize)) + 0.6*(float64(b)/float64(t.key.cfg.MemPorts))
+	}
+	return unitPower(t.p.Peak[u], frac, t.p.IdleFraction)
+}
+
+// look is unit u's power at count n: the full peak when phantom-fired,
+// the gated residual when hard-gated, otherwise the table entry at n
+// clamped to [0, lim[u]], which equals unitPower at n because the
+// fraction n/lim[u] clamps to [0, 1].
+func (m *Model) look(u Unit, n int, hardGated, phantom bool) float64 {
+	switch {
+	case phantom:
+		return m.p.Peak[u]
+	case hardGated:
+		return m.p.Peak[u] * m.p.GatedFraction
+	}
+	t := m.t
+	return t.tab[t.off[u]+min(max(n, 0), t.lim[u])]
+}
+
+// look2 is a two-count unit's power (never gated or phantom-fired).
+func (m *Model) look2(u Unit, a, b int) float64 {
+	t := m.t
+	if uint(a) <= uint(t.lim[u]) && uint(b) < uint(t.stride[u]) {
+		return t.tab[t.off[u]+a*t.stride[u]+b]
+	}
+	return t.power2(u, a, b)
 }
 
 // Step accounts one cycle of activity and returns its power.
@@ -251,54 +359,37 @@ func (m *Model) StepInto(act *cpu.Activity, ph Phantom, r *CycleReport) {
 		if n == 0 {
 			continue
 		}
-		ring, f := &m.spread[cl], float64(n)
+		ring := &m.spread[cl]
 		for k, idx := 0, m.pos; k < m.lat[cl]; k, idx = k+1, (idx+1)&spreadMask {
-			ring[idx] += f
+			ring[idx] += n
 		}
 	}
 	busy := &m.spread
 	pos := m.pos
 	peak := &m.p.Peak
-	idle := m.p.IdleFraction
-	gated := m.p.GatedFraction
-	fw := float64(m.cfg.FetchWidth)
-	iw := float64(m.cfg.IssueWidth)
 	pu := &r.PerUnit
 
 	// Front end.
-	pu[UnitFetch] = unitPower(peak[UnitFetch], float64(act.Fetched)/fw, idle, gated, act.IL1Gated, ph.IL1)
-	pu[UnitBpred] = unitPower(peak[UnitBpred], float64(act.BpredLookups)/2, idle, gated, act.IL1Gated, ph.IL1)
-	pu[UnitL1I] = unitPower(peak[UnitL1I], float64(act.ICacheAccess), idle, gated, act.IL1Gated, ph.IL1)
-	pu[UnitRename] = unitPower(peak[UnitRename], float64(act.Dispatched)/float64(m.cfg.DecodeWidth), idle, gated, false, false)
+	pu[UnitFetch] = m.look(UnitFetch, act.Fetched, act.IL1Gated, ph.IL1)
+	pu[UnitBpred] = m.look(UnitBpred, act.BpredLookups, act.IL1Gated, ph.IL1)
+	pu[UnitL1I] = m.look(UnitL1I, act.ICacheAccess, act.IL1Gated, ph.IL1)
+	pu[UnitRename] = m.look(UnitRename, act.Dispatched, false, false)
 
 	// Window and register machinery.
-	occFrac := float64(act.RUUOccupancy) / float64(m.cfg.RUUSize)
-	issFrac := float64(act.Issued) / iw
-	pu[UnitWindow] = unitPower(peak[UnitWindow], 0.45*occFrac+0.55*issFrac, idle, gated, false, false)
-	lsqFrac := float64(act.LSQOccupancy) / float64(m.cfg.LSQSize)
-	memIss := float64(act.IssuedByClass[isa.ClassLoad]+act.IssuedByClass[isa.ClassStore]) / float64(m.cfg.MemPorts)
-	pu[UnitLSQ] = unitPower(peak[UnitLSQ], 0.4*lsqFrac+0.6*memIss, idle, gated, false, false)
-	pu[UnitRegFile] = unitPower(peak[UnitRegFile], float64(act.RegReads+act.RegWrites)/(3*iw), idle, gated, false, false)
-	pu[UnitResultBus] = unitPower(peak[UnitResultBus], float64(act.Completed)/iw, idle, gated, false, false)
+	pu[UnitWindow] = m.look2(UnitWindow, act.RUUOccupancy, act.Issued)
+	pu[UnitLSQ] = m.look2(UnitLSQ, act.LSQOccupancy, act.IssuedByClass[isa.ClassLoad]+act.IssuedByClass[isa.ClassStore])
+	pu[UnitRegFile] = m.look(UnitRegFile, act.RegReads+act.RegWrites, false, false)
+	pu[UnitResultBus] = m.look(UnitResultBus, act.Completed, false, false)
 
 	// Execution units, with multi-cycle spreading.
-	pu[UnitIntALU] = unitPower(peak[UnitIntALU],
-		(busy[isa.ClassIntALU][pos]+busy[isa.ClassBranch][pos])/float64(m.cfg.IntALU),
-		idle, gated, act.FUsGated, ph.FUs)
-	pu[UnitIntMult] = unitPower(peak[UnitIntMult],
-		(busy[isa.ClassIntMult][pos]+busy[isa.ClassIntDiv][pos])/float64(m.cfg.IntMult),
-		idle, gated, act.FUsGated, ph.FUs)
-	pu[UnitFPALU] = unitPower(peak[UnitFPALU],
-		busy[isa.ClassFPAdd][pos]/float64(m.cfg.FPALU),
-		idle, gated, act.FUsGated, ph.FUs)
-	pu[UnitFPMult] = unitPower(peak[UnitFPMult],
-		(busy[isa.ClassFPMult][pos]+busy[isa.ClassFPDiv][pos])/float64(m.cfg.FPMult),
-		idle, gated, act.FUsGated, ph.FUs)
+	pu[UnitIntALU] = m.look(UnitIntALU, busy[isa.ClassIntALU][pos]+busy[isa.ClassBranch][pos], act.FUsGated, ph.FUs)
+	pu[UnitIntMult] = m.look(UnitIntMult, busy[isa.ClassIntMult][pos]+busy[isa.ClassIntDiv][pos], act.FUsGated, ph.FUs)
+	pu[UnitFPALU] = m.look(UnitFPALU, busy[isa.ClassFPAdd][pos], act.FUsGated, ph.FUs)
+	pu[UnitFPMult] = m.look(UnitFPMult, busy[isa.ClassFPMult][pos]+busy[isa.ClassFPDiv][pos], act.FUsGated, ph.FUs)
 
 	// Data-side caches.
-	pu[UnitL1D] = unitPower(peak[UnitL1D], float64(act.DCacheAccess)/float64(m.cfg.MemPorts),
-		idle, gated, act.DL1Gated, ph.DL1)
-	pu[UnitL2] = unitPower(peak[UnitL2], float64(act.L2Access), idle, gated, false, false)
+	pu[UnitL1D] = m.look(UnitL1D, act.DCacheAccess, act.DL1Gated, ph.DL1)
+	pu[UnitL2] = m.look(UnitL2, act.L2Access, false, false)
 
 	// Clock tree: fixed floor plus a share tracking overall chip activity.
 	// Both sums run in ascending unit order into locals, so every float is

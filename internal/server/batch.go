@@ -53,24 +53,63 @@ type batchJob struct {
 	indexes  []int
 }
 
+// decodeBatch decodes a /v1/batch body and checks its entry count. On a
+// bad body it has written the error envelope and returns ok false.
+func decodeBatch(w http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
+	if !decodeJSONLimit(w, r, &req, batchBodyLimit) {
+		return req, false
+	}
+	if len(req.Specs) == 0 {
+		writeError(w, r, http.StatusBadRequest, codeBadRequest,
+			"didtd: bad request: batch names no specs")
+		return req, false
+	}
+	if len(req.Specs) > maxBatchEntries {
+		writeError(w, r, http.StatusBadRequest, codeBadRequest,
+			fmt.Sprintf("didtd: bad request: batch has %d entries (max %d)", len(req.Specs), maxBatchEntries))
+		return req, false
+	}
+	return req, true
+}
+
+// resolveBatch resolves every entry up front: invalid entries become
+// immediate error records without costing any work, and valid duplicates
+// collapse into one job answering all their indexes (deduped counts the
+// collapsed entries).
+func resolveBatch(specs []spec.RunSpec) (invalid []*BatchRecord, jobs []*batchJob, deduped int) {
+	invalid = make([]*BatchRecord, 0)
+	byKey := map[string]*batchJob{}
+	for i, sp := range specs {
+		resolved, err := sp.Resolve()
+		var program isa.Program
+		if err == nil {
+			program, err = resolved.Program()
+		}
+		if err != nil {
+			invalid = append(invalid, &BatchRecord{Index: i, Status: "error", Error: "bad spec: " + err.Error()})
+			continue
+		}
+		key := resolved.Key()
+		if j := byKey[key]; j != nil {
+			deduped++
+			j.indexes = append(j.indexes, i)
+			continue
+		}
+		j := &batchJob{key: key, resolved: resolved, program: program, indexes: []int{i}}
+		byKey[key] = j
+		jobs = append(jobs, j)
+	}
+	return invalid, jobs, deduped
+}
+
 // handleBatch runs up to maxBatchEntries simulate specs under a single
 // admission slot, streaming one NDJSON record per entry in completion
 // order. Identical specs are deduplicated into one job, and each job
 // resolves through the same store+singleflight path as /v1/simulate — a
 // batch entry warms the store for later single requests and vice versa.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeJSONLimit(w, r, &req, batchBodyLimit) {
-		return
-	}
-	if len(req.Specs) == 0 {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest,
-			"didtd: bad request: batch names no specs")
-		return
-	}
-	if len(req.Specs) > maxBatchEntries {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("didtd: bad request: batch has %d entries (max %d)", len(req.Specs), maxBatchEntries))
+	req, ok := decodeBatch(w, r)
+	if !ok {
 		return
 	}
 	if !s.acceptWork(w, r) {
@@ -86,34 +125,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	// Resolve every entry up front: invalid entries become immediate error
-	// records without costing any work, and valid duplicates collapse into
-	// one job answering all their indexes.
-	invalid := make([]*BatchRecord, 0)
-	var jobs []*batchJob
-	byKey := map[string]*batchJob{}
-	for i, sp := range req.Specs {
-		s.mBatchEntries.Inc()
-		resolved, err := sp.Resolve()
-		if err != nil {
-			invalid = append(invalid, &BatchRecord{Index: i, Status: "error", Error: "bad spec: " + err.Error()})
-			continue
-		}
-		program, err := resolved.Program()
-		if err != nil {
-			invalid = append(invalid, &BatchRecord{Index: i, Status: "error", Error: "bad spec: " + err.Error()})
-			continue
-		}
-		key := resolved.Key()
-		if j := byKey[key]; j != nil {
-			s.mBatchDeduped.Inc()
-			j.indexes = append(j.indexes, i)
-			continue
-		}
-		j := &batchJob{key: key, resolved: resolved, program: program, indexes: []int{i}}
-		byKey[key] = j
-		jobs = append(jobs, j)
-	}
+	invalid, jobs, deduped := resolveBatch(req.Specs)
+	s.mBatchEntries.Add(int64(len(req.Specs)))
+	s.mBatchDeduped.Add(int64(deduped))
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)

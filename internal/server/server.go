@@ -492,25 +492,37 @@ func (req *SweepRequest) ids() ([]string, error) {
 	return experiments.ResolveIDs(ids)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
+// decodeSweep decodes and validates a /v1/sweep body into the sweep it
+// asks for: the experiments configuration (serverParallel filling an unset
+// worker count), the resolved experiment ids and whether to stream
+// progress. On a bad body it has written the error envelope and returns
+// ok false.
+func decodeSweep(w http.ResponseWriter, r *http.Request, serverParallel int) (req SweepRequest, cfg experiments.Config, ids []string, sse, ok bool) {
 	if !decodeJSON(w, r, &req) {
-		return
+		return req, cfg, nil, false, false
 	}
 	ids, err := req.ids()
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, "didtd: bad request: "+err.Error())
-		return
+		return req, cfg, nil, false, false
 	}
-	cfg := req.config(s.cfg.Parallel)
+	cfg = req.config(serverParallel)
 	if err := cfg.Validate(); err != nil {
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, "didtd: bad request: "+err.Error())
-		return
+		return req, cfg, nil, false, false
 	}
-	sse := req.Progress == "sse" || r.URL.Query().Get("progress") == "sse"
 	if req.Progress != "" && req.Progress != "sse" {
 		writeError(w, r, http.StatusBadRequest, codeBadRequest,
 			"didtd: bad request: unknown progress mode "+fmt.Sprintf("%q", req.Progress)+" (use \"sse\")")
+		return req, cfg, nil, false, false
+	}
+	sse = req.Progress == "sse" || r.URL.Query().Get("progress") == "sse"
+	return req, cfg, ids, sse, true
+}
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	req, cfg, ids, sse, ok := decodeSweep(w, r, s.cfg.Parallel)
+	if !ok {
 		return
 	}
 	setSpecKey(r.Context(), cfg.Spec().Key())
@@ -662,24 +674,30 @@ type ControlSummary struct {
 	Phantom      uint64  `json:"phantom_actuations"`
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
+// decodeSimulate decodes a /v1/simulate body and resolves it into the run
+// it asks for: the validated spec and its program. On a bad body it has
+// written the error envelope and returns ok false.
+func decodeSimulate(w http.ResponseWriter, r *http.Request) (req SimulateRequest, resolved spec.RunSpec, program isa.Program, ok bool) {
 	if !decodeJSON(w, r, &req) {
-		return
+		return req, resolved, nil, false
 	}
 	sp, err := req.spec()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, "didtd: bad request: "+err.Error())
-		return
+	if err == nil {
+		resolved, err = sp.Resolve()
 	}
-	resolved, err := sp.Resolve()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, "didtd: bad request: "+err.Error())
-		return
+	if err == nil {
+		program, err = resolved.Program()
 	}
-	program, err := resolved.Program()
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, "didtd: bad request: "+err.Error())
+		return req, resolved, nil, false
+	}
+	return req, resolved, program, true
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	req, resolved, program, ok := decodeSimulate(w, r)
+	if !ok {
 		return
 	}
 	setSpecKey(r.Context(), resolved.Key())
