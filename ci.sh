@@ -97,8 +97,17 @@ go test -run NONE -fuzz FuzzDecodeEntry -fuzztime=10s ./internal/store
 # Spec-path fuzzing: arbitrary JSON decoded into a run spec, resolved
 # (defaults, then Validate) and, when it resolves, built by core.NewSystem;
 # neither step may panic. The committed corpus seeds it with the default,
-# a sparse, a controlled and a three-rail spec.
+# a sparse, a controlled and a three-rail spec, plus specs that Validate
+# must reject: negative unit counts and an unbounded PDN kernel.
 go test -run NONE -fuzz FuzzSpecNewSystem -fuzztime=10s ./internal/core
+
+# Replay differential fuzzing: a one-rail spec decoded from arbitrary
+# bytes (workload, impedance, sensor delay and noise, mechanism, flush
+# recovery, seed, budget <= 50k cycles) replayed from its open-loop twin's
+# cached machine trace must equal the same spec on the stepped path, on
+# every Result field. The committed corpus seeds an open-loop run, a
+# controlled run that never acts and two that do.
+go test -run NONE -fuzz FuzzReplayMatchesStepwise -fuzztime=10s ./internal/core
 
 # Request-decoder fuzzing: arbitrary bodies through didtd's simulate,
 # sweep and batch decoders (everything a request does before it admits
@@ -118,18 +127,17 @@ go test -race -count=1 \
 
 # Allocation gate: the per-cycle simulation kernels (streaming PDN step,
 # its block form on one rail and on the coupled graph, the modal block
-# step that every engine run — open and closed loop — takes, batched SoA
-# step, the threshold solver's probe cycle loop, and the machine half: the
-# core's StepInto and the power model's StepInto) plus the FFT block
-# convolution, which now serves only perfbench's pdn.fft layer row, must
-# stay allocation-free. A heap allocation per call adds garbage-collector
-# work to every simulated cycle; the kernels themselves cost ~700 ns/cycle
-# for the exact streaming step on the bench host, ~15 ns/cycle for the
-# modal step and ~100 ns per sample for the FFT path. The benchmarks run
-# under -benchmem and any "N allocs/op" with N > 0 fails.
+# step that every engine run — open and closed loop — takes, the
+# eight-lane BatchSimulator that perfbench times, the threshold solver's
+# probe cycle loop, and the machine half: the core's StepInto and the
+# power model's StepInto) must stay allocation-free. A heap allocation per
+# call adds garbage-collector work to every simulated cycle; the kernels
+# themselves cost ~700 ns/cycle for the exact streaming step on the bench
+# host and ~15 ns/cycle for the modal step. The benchmarks run under
+# -benchmem and any "N allocs/op" with N > 0 fails.
 go test -run NONE \
-    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkStepModal$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$|BenchmarkProbeViolations$|BenchmarkStepInto$' \
-    -benchtime 100x -benchmem ./internal/pdn ./internal/fft ./internal/control ./internal/cpu ./internal/power | tee /tmp/didt_allocgate.txt
+    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkStepModal$|BenchmarkBatchStep$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$|BenchmarkProbeViolations$|BenchmarkStepInto$' \
+    -benchtime 100x -benchmem ./internal/pdn ./internal/control ./internal/cpu ./internal/power | tee /tmp/didt_allocgate.txt
 ! grep -E ' [1-9][0-9]* allocs/op' /tmp/didt_allocgate.txt
 
 # Perf gate: the telemetry-off hot path (a disabled cycle tracer attached

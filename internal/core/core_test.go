@@ -6,6 +6,7 @@ import (
 
 	"didt/internal/actuator"
 	"didt/internal/isa"
+	"didt/internal/sim"
 	"didt/internal/spec"
 	"didt/internal/telemetry"
 )
@@ -295,8 +296,11 @@ func TestStepCycleReportsLevels(t *testing.T) {
 	}
 }
 
+// TestDeterministicRuns: two identical seeded runs, each started with
+// every registered cache empty, agree on every Result field.
 func TestDeterministicRuns(t *testing.T) {
 	run := func() *Result {
+		sim.ResetCaches()
 		sys, err := NewSystem(alternator(300), knobs{
 			ImpedancePct: 2, MaxCycles: 100000, Control: true, Delay: 2, NoiseMV: 10, Seed: 42,
 		}.options())
@@ -310,8 +314,8 @@ func TestDeterministicRuns(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.Emergencies != b.Emergencies || a.Energy != b.Energy {
-		t.Error("identical seeded runs diverged")
+	if d := resultDiff(a, b); d != "" {
+		t.Errorf("identical seeded runs diverged: %s", d)
 	}
 }
 

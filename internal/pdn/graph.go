@@ -238,16 +238,6 @@ func (s *GraphSimulator) effective(currents []float64, b int) []float64 {
 	return eff
 }
 
-// Cycles reports how many cycles have been simulated.
-func (s *GraphSimulator) Cycles() int { return s.sims[0].Cycles() }
-
-// Reset returns every rail to the quiescent state.
-func (s *GraphSimulator) Reset() {
-	for _, sim := range s.sims {
-		sim.Reset()
-	}
-}
-
 // Release returns every rail simulator's history buffer to its network's
 // pool. The graph simulator must not be used afterwards.
 func (s *GraphSimulator) Release() {

@@ -17,11 +17,11 @@
 package pdn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 
-	"didt/internal/fft"
 	"didt/internal/linsys"
 	"didt/internal/sim"
 	"didt/internal/telemetry"
@@ -53,6 +53,23 @@ type Params struct {
 	TruncRelTol float64
 	// MaxKernelLen caps the sampled kernel length. Zero selects 4096.
 	MaxKernelLen int
+}
+
+// MaxKernelTaps is the largest MaxKernelLen Validate accepts: every tap is
+// one float64 of kernel plus one of each simulator's history ring, so the
+// bound keeps a spec from sizing an arbitrarily large allocation.
+const MaxKernelTaps = 1 << 16
+
+// Validate checks the fields a caller may leave at zero for a default:
+// none may be negative, and MaxKernelLen may not exceed MaxKernelTaps.
+func (p Params) Validate() error {
+	if p.ClockHz < 0 || p.ResonantHz < 0 || p.DCResistance < 0 || p.TruncRelTol < 0 || p.MaxKernelLen < 0 {
+		return errors.New("pdn: params must be non-negative")
+	}
+	if p.MaxKernelLen > MaxKernelTaps {
+		return fmt.Errorf("pdn: MaxKernelLen %d exceeds %d", p.MaxKernelLen, MaxKernelTaps)
+	}
+	return nil
 }
 
 // WithDefaults fills zero fields from the paper-reference constants. The
@@ -87,23 +104,19 @@ func (p Params) WithDefaults() Params {
 type Network struct {
 	params Params
 	sys    *linsys.SecondOrder
-	kernel []float64 // impulse response sampled at the CPU clock, scaled by dt
-	fftk   *fft.Kernel
+	kernel []float64  // impulse response sampled at the CPU clock, scaled by dt
 	modal  *modalForm // nil when the network has no modal form (modal.go)
 
 	simPool sync.Pool // recycled Simulator history buffers ([]float64)
-	fftPool sync.Pool // recycled fft.Scratch + deviation buffers (*fftWork)
 }
 
 // sampled pairs the derived artifacts a Network shares with every other
 // Network built from the same parameters: the analytic system, the sampled
-// impulse-response kernel, the kernel's frozen FFT spectrum for the
-// open-loop block convolver, and the kernel's modal form for the streaming
-// one. All are immutable after construction.
+// impulse-response kernel and the kernel's modal form. All are immutable
+// after construction.
 type sampled struct {
 	sys    *linsys.SecondOrder
 	kernel []float64
-	fftk   *fft.Kernel
 	modal  *modalForm
 }
 
@@ -146,18 +159,14 @@ func New(p Params) (*Network, error) {
 		if len(kernel) == 0 {
 			return sampled{}, fmt.Errorf("pdn: empty impulse-response kernel")
 		}
-		fftk, err := fft.NewKernel(kernel, 0)
-		if err != nil {
-			return sampled{}, fmt.Errorf("pdn: %w", err)
-		}
 		modal := fitModal(sys, kernel, 1/p.ClockHz, p.VNominal)
-		return sampled{sys: sys, kernel: kernel, fftk: fftk, modal: modal}, nil
+		return sampled{sys: sys, kernel: kernel, modal: modal}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	telemetry.Default().Counter("pdn.networks_built_total").Inc()
-	return &Network{params: p, sys: sk.sys, kernel: sk.kernel, fftk: sk.fftk, modal: sk.modal}, nil
+	return &Network{params: p, sys: sk.sys, kernel: sk.kernel, modal: sk.modal}, nil
 }
 
 // Calibrate sets the network's peak impedance from the de facto target-
@@ -211,70 +220,26 @@ func (n *Network) VMin() float64 { return n.params.VNominal * (1 - n.params.Tole
 func (n *Network) VMax() float64 { return n.params.VNominal * (1 + n.params.Tolerance) }
 
 // VoltageTrace returns the per-cycle supply voltage for an entire current
-// trace (amperes per cycle), starting quiescent. It steps a fresh
-// Simulator MaxBlock cycles at a time, so every sample is == to calling
-// Step on each current in turn.
+// trace (amperes per cycle), starting quiescent; see ConvolveVoltages.
 func (n *Network) VoltageTrace(current []float64) []float64 {
 	out := make([]float64, len(current))
-	s := n.NewSimulator()
-	for i := 0; i < len(current); i += MaxBlock {
-		j := min(i+MaxBlock, len(current))
-		s.StepBlock(current[i:j], out[i:j])
-	}
-	s.Release()
+	n.ConvolveVoltages(out, current)
 	return out
 }
 
-// fftWork is the pooled per-goroutine state for one block convolution: the
-// FFT scratch plus the deviation buffer that decouples the convolver's
-// input from its output (overlap-save re-reads m-1 samples of history per
-// block, so convolving in place would read already-overwritten values).
-type fftWork struct {
-	scratch *fft.Scratch
-	dev     []float64
-}
-
-// ConvolveVoltages computes the supply voltage for an entire current trace
-// at once, writing into dst (which must have length >= len(current) and
-// may alias current). Traces at least one kernel length long go through
-// the overlap-save FFT block convolver — O(log taps) per cycle instead of
-// O(taps) — while shorter traces use the streaming Simulator, whose output
-// is the bit-exact reference. The FFT path agrees with streaming to
-// <= 1e-9 V (pinned by the property tests in this package); callers that
-// need bit-exactness against Step must use a Simulator directly.
-//
-// The history before the trace is quiescent (I = IFloor, V = VNominal),
-// matching a fresh Simulator. No simulation or experiment calls it —
-// VoltageTrace steps a Simulator — so it serves the FFT kernel's benchmark.
+// ConvolveVoltages writes the supply voltage for an entire current trace
+// into dst, which must have length >= len(current). It steps a fresh,
+// quiescent Simulator MaxBlock cycles at a time, so every sample is == to
+// calling Step on each current in turn. StepBlock stores a block's
+// currents in its history before it writes any voltage, so dst may alias
+// current.
 func (n *Network) ConvolveVoltages(dst, current []float64) {
-	if len(current) < len(n.kernel) {
-		s := n.NewSimulator()
-		for i, c := range current {
-			dst[i] = s.Step(c)
-		}
-		s.Release()
-		return
+	s := n.NewSimulator()
+	for i := 0; i < len(current); i += MaxBlock {
+		j := min(i+MaxBlock, len(current))
+		s.StepBlock(current[i:j], dst[i:j])
 	}
-	var w *fftWork
-	if pooled, ok := n.fftPool.Get().(*fftWork); ok {
-		w = pooled
-	} else {
-		w = &fftWork{scratch: n.fftk.NewScratch()}
-	}
-	if cap(w.dev) < len(current) {
-		w.dev = make([]float64, len(current))
-	}
-	dev := w.dev[:len(current)]
-	ifloor := n.params.IFloor
-	for i, c := range current {
-		dev[i] = c - ifloor
-	}
-	n.fftk.Convolve(dst, dev, w.scratch)
-	vnom := n.params.VNominal
-	for i := range dst[:len(current)] {
-		dst[i] = vnom - dst[i]
-	}
-	n.fftPool.Put(w)
+	s.Release()
 }
 
 // WorstCaseDeviation drives the network with a sustained square wave
@@ -373,7 +338,7 @@ func (s *Simulator) Step(current float64) float64 {
 // wrapping once at the start. The walk is split into its two contiguous
 // halves instead of testing for wrap every tap; the summation order —
 // ascending kernel index, i.e. newest sample first — is the bit-exactness
-// contract Step, StepBlock, Exact and BatchSimulator all share.
+// contract Step, StepBlock and Exact all share.
 //
 //didt:hotpath
 func dotRing(k, h []float64, idx int) float64 {
@@ -392,207 +357,32 @@ func dotRing(k, h []float64, idx int) float64 {
 // Cycles reports how many cycles have been simulated.
 func (s *Simulator) Cycles() int { return s.n }
 
-// Lanes is the preferred BatchSimulator width: eight float64 history
-// samples per ring slot is one 64-byte cache line, and the width the
-// specialized register-accumulator inner loop is built for.
-const Lanes = 8
-
-// BatchSimulator advances W independent runs on the same Network in
-// lockstep through one structure-of-arrays inner loop. The history buffer
-// is laid out slot-major (hist[slot*W + lane]), so each kernel tap touches
-// one contiguous W-wide row and the per-tap kernel load plus ring-index
-// arithmetic is amortized across all lanes. The engine no longer steps
-// runs through it — a solo Simulator's modal recursion is O(1) per cycle —
-// so it serves benchmarks of the L-tap kernel itself.
-//
-// Per lane, the accumulation order is exactly Simulator.Step's (ascending
-// kernel index), so every lane's voltage sequence is bit-identical to
-// running that lane alone on a Simulator. Not safe for concurrent use.
+// BatchSimulator advances w independent runs on the same Network, one
+// Simulator per lane, so every lane's voltage sequence is bit-identical to
+// running that lane alone. Not safe for concurrent use.
 type BatchSimulator struct {
-	net  *Network
-	w    int
-	hist []float64 // len(kernel) * w deviations, slot-major
-	acc  []float64 // per-lane accumulators, reused across steps
-	pos  int       // next write slot
-	n    int       // cycles processed
+	lanes []*Simulator
 }
 
-// NewBatchSimulator creates a lockstep simulator for w lanes, all starting
-// quiescent (history at IFloor, V = VNominal).
+// NewBatchSimulator creates w lanes (at least one), all starting quiescent
+// (history at IFloor, V = VNominal).
 func (n *Network) NewBatchSimulator(w int) *BatchSimulator {
-	if w < 1 {
-		w = 1
+	lanes := make([]*Simulator, max(w, 1))
+	for l := range lanes {
+		lanes[l] = n.NewSimulator()
 	}
-	return &BatchSimulator{
-		net:  n,
-		w:    w,
-		hist: make([]float64, len(n.kernel)*w),
-		acc:  make([]float64, w),
-	}
+	return &BatchSimulator{lanes: lanes}
 }
-
-// Lanes reports the batch width.
-func (b *BatchSimulator) Lanes() int { return b.w }
-
-// Cycles reports how many cycles have been simulated.
-func (b *BatchSimulator) Cycles() int { return b.n }
 
 // Step advances all lanes one CPU cycle: currents[l] is lane l's load
-// current and volts[l] receives its supply voltage. Both slices must have
-// length >= Lanes(). Zero allocations.
+// current and volts[l] receives its supply voltage. Both slices must be at
+// least as long as the lane count. Zero allocations.
 //
 //didt:hotpath
 func (b *BatchSimulator) Step(currents, volts []float64) {
-	k := b.net.kernel
-	w := b.w
-	ifloor := b.net.params.IFloor
-	row := b.hist[b.pos*w : b.pos*w+w]
-	for l := 0; l < w; l++ {
-		row[l] = currents[l] - ifloor
+	for l, s := range b.lanes {
+		volts[l] = s.Step(currents[l])
 	}
-	if w == Lanes {
-		b.step8(volts)
-		return
-	}
-	if w == 4 {
-		b.step4(volts)
-		return
-	}
-	acc := b.acc[:w]
-	for l := 0; l < w; l++ {
-		acc[l] = 0
-	}
-	// Same two-half ring walk as Simulator.Step, with the lane loop
-	// innermost so each tap's row is one contiguous cache-line-friendly
-	// read. Per lane the taps still accumulate in ascending order.
-	i := 0
-	for idx := b.pos; idx >= 0 && i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*w : idx*w+w]
-		for l := 0; l < w; l++ {
-			acc[l] += ki * r[l]
-		}
-		i++
-	}
-	for idx := len(k) - 1; i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*w : idx*w+w]
-		for l := 0; l < w; l++ {
-			acc[l] += ki * r[l]
-		}
-		i++
-	}
-	b.pos++
-	if b.pos == len(k) {
-		b.pos = 0
-	}
-	b.n++
-	vnom := b.net.params.VNominal
-	for l := 0; l < w; l++ {
-		volts[l] = vnom - acc[l]
-	}
-}
-
-// step8 is the full-width specialization: eight scalar accumulators live
-// in registers across the whole tap walk (the generic loop's slice-based
-// accumulators force a store+load per tap), and each tap's 64-byte row is
-// one cache line. Accumulation order per lane is identical to the generic
-// loop and to Simulator.Step.
-//
-//didt:hotpath
-func (b *BatchSimulator) step8(volts []float64) {
-	k := b.net.kernel
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	i := 0
-	for idx := b.pos; idx >= 0 && i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*Lanes : idx*Lanes+Lanes : idx*Lanes+Lanes]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		a4 += ki * r[4]
-		a5 += ki * r[5]
-		a6 += ki * r[6]
-		a7 += ki * r[7]
-		i++
-	}
-	for idx := len(k) - 1; i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*Lanes : idx*Lanes+Lanes : idx*Lanes+Lanes]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		a4 += ki * r[4]
-		a5 += ki * r[5]
-		a6 += ki * r[6]
-		a7 += ki * r[7]
-		i++
-	}
-	b.pos++
-	if b.pos == len(k) {
-		b.pos = 0
-	}
-	b.n++
-	vnom := b.net.params.VNominal
-	volts[0] = vnom - a0
-	volts[1] = vnom - a1
-	volts[2] = vnom - a2
-	volts[3] = vnom - a3
-	volts[4] = vnom - a4
-	volts[5] = vnom - a5
-	volts[6] = vnom - a6
-	volts[7] = vnom - a7
-}
-
-// step4 is the half-width specialization the threshold solver uses (one
-// lane per worst-case scenario): four register accumulators across the tap
-// walk, same per-lane accumulation order as the generic loop, step8 and
-// Simulator.Step.
-//
-//didt:hotpath
-func (b *BatchSimulator) step4(volts []float64) {
-	k := b.net.kernel
-	var a0, a1, a2, a3 float64
-	i := 0
-	for idx := b.pos; idx >= 0 && i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*4 : idx*4+4 : idx*4+4]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		i++
-	}
-	for idx := len(k) - 1; i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*4 : idx*4+4 : idx*4+4]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		i++
-	}
-	b.pos++
-	if b.pos == len(k) {
-		b.pos = 0
-	}
-	b.n++
-	vnom := b.net.params.VNominal
-	volts[0] = vnom - a0
-	volts[1] = vnom - a1
-	volts[2] = vnom - a2
-	volts[3] = vnom - a3
-}
-
-// Reset returns all lanes to the quiescent state.
-func (b *BatchSimulator) Reset() {
-	for i := range b.hist {
-		b.hist[i] = 0
-	}
-	b.pos = 0
-	b.n = 0
 }
 
 // Reset returns the simulator to the quiescent state.

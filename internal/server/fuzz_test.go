@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +17,8 @@ import (
 // take: a validated spec with a program, a validated sweep over known
 // experiments, or batch entries that each become exactly one error record
 // or one job index. The committed corpus (testdata/fuzz/FuzzDecodeRequests)
-// holds a valid and an invalid body per endpoint; `go test -fuzz
+// holds a valid and an invalid body per endpoint, plus a simulate spec
+// whose PDN kernel cap is past pdn.MaxKernelTaps; `go test -fuzz
 // FuzzDecodeRequests ./internal/server` explores further.
 func FuzzDecodeRequests(f *testing.F) {
 	paths := [3]string{"/v1/simulate", "/v1/sweep", "/v1/batch"}
@@ -103,4 +105,17 @@ func FuzzDecodeRequests(f *testing.F) {
 			t.Fatalf("rejected %s body: envelope %+v (%v), want code %s", paths[kind], env, err, want)
 		}
 	})
+}
+
+// TestDecodeRejectsUnboundedKernel: a simulate spec whose PDN kernel cap
+// exceeds pdn.MaxKernelTaps is a 400 at decode time, before it can size an
+// impulse response of ~7e7 taps. The same body is in the fuzz corpus.
+func TestDecodeRejectsUnboundedKernel(t *testing.T) {
+	body := `{"spec":{"pdn":{"params":{"MaxKernelLen":1073741824,"ClockHz":1e13,"TruncRelTol":1e-300}}}}`
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body))
+	if _, _, _, ok := decodeSimulate(rec, r); ok || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "MaxKernelLen") {
+		t.Fatalf("accepted=%v, answered %d %q; want a 400 naming MaxKernelLen", ok, rec.Code, rec.Body.String())
+	}
 }

@@ -197,9 +197,8 @@ func (s RunSpec) validateRails() []error {
 		if r.ImpedancePct < 0 {
 			errs = append(errs, fmt.Errorf("spec: rail %q impedance_pct %g must be positive", r.Name, r.ImpedancePct))
 		}
-		rp := r.Params
-		if rp.ClockHz < 0 || rp.ResonantHz < 0 || rp.DCResistance < 0 || rp.TruncRelTol < 0 || rp.MaxKernelLen < 0 {
-			errs = append(errs, fmt.Errorf("spec: rail %q params must be non-negative", r.Name))
+		if err := r.Params.Validate(); err != nil {
+			errs = append(errs, fmt.Errorf("spec: rail %q: %w", r.Name, err))
 		}
 	}
 	if len(s.PDN.Rails) > 0 {

@@ -229,6 +229,12 @@ func TestRailsValidation(t *testing.T) {
 			s.PDN.Rails[0].Scopes = nil
 			s.PDN.Coupling = []CouplingSpec{{From: "core", To: "core", K: 0.1}}
 		}, "coupling requires at least two rails"},
+		{"negative rail params", func(s *RunSpec) {
+			s.PDN.Rails[1].Params.ResonantHz = -1
+		}, `rail "mem": pdn: params must be non-negative`},
+		{"unbounded rail kernel", func(s *RunSpec) {
+			s.PDN.Rails[1].Params.MaxKernelLen = 1 << 30
+		}, `rail "mem": pdn: MaxKernelLen 1073741824 exceeds`},
 		{"envelope override on several rails", func(s *RunSpec) {
 			s.PDN.EnvelopeIMax = 48
 		}, "need a single rail"},

@@ -186,8 +186,8 @@ func (s RunSpec) Validate() error {
 		errs = append(errs, err)
 	}
 	p := s.PDN.Params
-	if p.ClockHz < 0 || p.ResonantHz < 0 || p.DCResistance < 0 || p.TruncRelTol < 0 || p.MaxKernelLen < 0 {
-		errs = append(errs, errors.New("spec: pdn params must be non-negative"))
+	if err := p.Validate(); err != nil {
+		errs = append(errs, fmt.Errorf("spec: %w", err))
 	}
 	if p.Tolerance < 0 || p.Tolerance >= 1 {
 		errs = append(errs, fmt.Errorf("spec: pdn tolerance %g outside [0, 1)", p.Tolerance))

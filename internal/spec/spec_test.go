@@ -248,6 +248,15 @@ func TestResolveRejectsInvalid(t *testing.T) {
 	if _, err := s.Resolve(); err == nil {
 		t.Error("Resolve accepted an unknown benchmark")
 	}
+	// A kernel cap past pdn.MaxKernelTaps would let one request size an
+	// arbitrarily large impulse response (here ~7e7 taps, ~600 MB).
+	var huge RunSpec
+	if err := json.Unmarshal([]byte(`{"pdn":{"params":{"MaxKernelLen":1073741824,"ClockHz":1e13,"TruncRelTol":1e-300}}}`), &huge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := huge.Resolve(); err == nil || !strings.Contains(err.Error(), "MaxKernelLen 1073741824 exceeds") {
+		t.Errorf("Resolve of an unbounded pdn kernel: got %v, want the MaxKernelLen bound", err)
+	}
 	var ok RunSpec
 	ok.Workload.Name = "swim"
 	r, err := ok.Resolve()
