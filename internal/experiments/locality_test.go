@@ -15,7 +15,7 @@ import (
 	"didt/internal/power"
 )
 
-var updateLocality = flag.Bool("update", false, "rewrite testdata/locality.golden")
+var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // writeLocalityResult records every LocalityResult field, floats as their
 // IEEE-754 bits so the golden pins the study bit for bit.
@@ -31,7 +31,7 @@ func writeLocalityResult(w *bytes.Buffer, r *LocalityResult) {
 // TestLocalityGolden pins the Section 6 locality study at the full-size
 // configuration: the quadrant names and order, the emergency band, and
 // every voltage extreme and emergency count. Regenerate with
-// `go test -run TestLocalityGolden -update ./internal/experiments` only
+// `go test ./internal/experiments -run TestLocalityGolden -update` only
 // after a deliberate change to the study's results.
 func TestLocalityGolden(t *testing.T) {
 	if testing.Short() {
@@ -53,7 +53,7 @@ func TestLocalityGolden(t *testing.T) {
 	var got bytes.Buffer
 	writeLocalityResult(&got, r)
 	path := filepath.Join("testdata", "locality.golden")
-	if *updateLocality {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
