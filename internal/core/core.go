@@ -92,6 +92,16 @@ type Result struct {
 // IPC is a convenience accessor.
 func (r *Result) IPC() float64 { return r.Stats.IPC() }
 
+// MaxDeviation is the run's worst-side voltage excursion from nominal:
+// the larger of the droop below it and the overshoot above it (volts).
+func (r *Result) MaxDeviation() float64 {
+	dev := r.VNominal - r.MinV
+	if up := r.MaxV - r.VNominal; up > dev {
+		dev = up
+	}
+	return dev
+}
+
 // System is one assembled closed loop. Create with NewSystem; not safe for
 // concurrent use.
 type System struct {

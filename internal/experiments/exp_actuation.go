@@ -5,12 +5,9 @@ import (
 	"io"
 
 	"didt/internal/actuator"
-	"didt/internal/cpu"
+	"didt/internal/isa"
 	"didt/internal/report"
-	"didt/internal/stats"
 )
-
-func defaultCPUConfig() cpu.Config { return cpu.DefaultConfig() }
 
 // ActuationPoint is one (mechanism, delay) evaluation over the challenging
 // benchmarks.
@@ -33,85 +30,45 @@ func actuationStudy(cfg Config) (*ActuationStudy, error) {
 	cfg = cfg.withDefaults()
 	return memoized("actuation", cfg, func() (*ActuationStudy, error) {
 		benches := cfg.challenging()
-		mechs := actuator.Granularities()
-		const delays = 6
-
-		baseJobs := make([]runJob, len(benches))
-		for i, name := range benches {
-			prog, err := cfg.benchProgram(name)
-			if err != nil {
-				return nil, err
-			}
-			baseJobs[i] = cfg.uncontrolledFullJob(prog, 2)
-		}
-		type base struct{ cycles, energy float64 }
-		baseRes, err := sweep(cfg, baseJobs, runKeyed)
+		grid := mechanismDelays()
+		runs, err := controlledCosts(cfg, benches, grid, func(pt mechanismDelay, prog isa.Program) runJob {
+			return cfg.controlledJob(prog, 2, pt.mech, pt.delay, 0)
+		})
 		if err != nil {
 			return nil, err
 		}
-		bases := make([]base, len(benches))
-		for i, res := range baseRes {
-			bases[i] = base{float64(res.Cycles), res.Energy}
-		}
-
-		// The full (mechanism, delay, benchmark) grid, flattened
-		// mechanism-major so per-point aggregation reads results in the
-		// serial loop's exact order.
-		type outcome struct {
-			perfPct, energyPct float64
-			emergencies        uint64
-			stable             bool
-		}
-		nb := len(benches)
-		jobs := make([]runJob, len(mechs)*delays*nb)
-		for j := range jobs {
-			m, d, i := j/(delays*nb), (j/nb)%delays, j%nb
-			prog, err := cfg.benchProgram(benches[i])
-			if err != nil {
-				return nil, err
-			}
-			jobs[j] = cfg.controlledJob(prog, 2, mechs[m], d, 0)
-		}
-		gridRes, err := sweep(cfg, jobs, runKeyed)
-		if err != nil {
-			return nil, err
-		}
-		runs := make([]outcome, len(gridRes))
-		for j, res := range gridRes {
-			b := bases[j%nb]
-			runs[j] = outcome{
-				perfPct:     100 * (float64(res.Cycles)/b.cycles - 1),
-				energyPct:   100 * (res.Energy/b.energy - 1),
-				emergencies: res.Emergencies,
-				stable:      res.Thresholds.Stable,
-			}
-		}
-
 		st := &ActuationStudy{}
-		for m, mech := range mechs {
-			for d := 0; d < delays; d++ {
-				var perf, energy []float64
-				var emerg uint64
-				stable := true
-				for i := 0; i < nb; i++ {
-					o := runs[m*delays*nb+d*nb+i]
-					perf = append(perf, o.perfPct)
-					energy = append(energy, o.energyPct)
-					emerg += o.emergencies
-					stable = stable && o.stable
-				}
-				st.Points = append(st.Points, ActuationPoint{
-					Mechanism:       mech.Name,
-					Delay:           d,
-					SpecPerfLossPct: stats.Mean(perf),
-					SpecEnergyPct:   stats.Mean(energy),
-					SpecEmergencies: emerg,
-					SolverStable:    stable,
-				})
-			}
+		for p, pt := range grid {
+			perf, energy, emerg, stable := specMeans(runs[p*len(benches) : (p+1)*len(benches)])
+			st.Points = append(st.Points, ActuationPoint{
+				Mechanism:       pt.mech.Name,
+				Delay:           pt.delay,
+				SpecPerfLossPct: perf,
+				SpecEnergyPct:   energy,
+				SpecEmergencies: emerg,
+				SolverStable:    stable,
+			})
 		}
 		return st, nil
 	})
+}
+
+// mechanismDelay is one point of the Section 5 actuation grid.
+type mechanismDelay struct {
+	mech  actuator.Mechanism
+	delay int
+}
+
+// mechanismDelays lists the actuation grid mechanism-major: every
+// granularity at controller delays 0-5.
+func mechanismDelays() []mechanismDelay {
+	var out []mechanismDelay
+	for _, m := range actuator.Granularities() {
+		for d := 0; d < 6; d++ {
+			out = append(out, mechanismDelay{m, d})
+		}
+	}
+	return out
 }
 
 func (st *ActuationStudy) series(metric func(ActuationPoint) float64) map[string][]float64 {
@@ -194,32 +151,22 @@ type StressmarkActuationStudy struct {
 func stressmarkActuation(cfg Config) (*StressmarkActuationStudy, error) {
 	cfg = cfg.withDefaults()
 	return memoized("stressmark-actuation", cfg, func() (*StressmarkActuationStudy, error) {
-		prog := cfg.stressProgram()
-		baseRes, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
+		grid := mechanismDelays()
+		runs, err := controlledCosts(cfg, []string{"stressmark"}, grid, func(pt mechanismDelay, prog isa.Program) runJob {
+			return cfg.controlledJob(prog, 2, pt.mech, pt.delay, 0)
+		})
 		if err != nil {
 			return nil, err
 		}
-		mechs := actuator.Granularities()
-		const delays = 6
-		jobs := make([]runJob, len(mechs)*delays)
-		for j := range jobs {
-			m, d := j/delays, j%delays
-			jobs[j] = cfg.controlledJob(prog, 2, mechs[m], d, 0)
-		}
-		gridRes, err := sweep(cfg, jobs, runKeyed)
-		if err != nil {
-			return nil, err
-		}
-		points := make([]StressActuationPoint, len(gridRes))
-		for j, res := range gridRes {
-			m, d := j/delays, j%delays
+		points := make([]StressActuationPoint, len(runs))
+		for j, r := range runs {
 			points[j] = StressActuationPoint{
-				Mechanism:   mechs[m].Name,
-				Delay:       d,
-				PerfLossPct: 100 * (float64(res.Cycles)/float64(baseRes.Cycles) - 1),
-				EnergyPct:   100 * (res.Energy/baseRes.Energy - 1),
-				Emergencies: res.Emergencies,
-				Stable:      res.Thresholds.Stable,
+				Mechanism:   grid[j].mech.Name,
+				Delay:       grid[j].delay,
+				PerfLossPct: r.PerfPct,
+				EnergyPct:   r.EnergyPct,
+				Emergencies: r.Emergencies,
+				Stable:      r.Thresholds.Stable,
 			}
 		}
 		return &StressmarkActuationStudy{Points: points}, nil

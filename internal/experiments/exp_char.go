@@ -57,7 +57,7 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 		for _, v := range worstV {
 			worstDev = math.Max(worstDev, math.Abs(v-res.VNominal))
 		}
-		stressDev := math.Max(res.VNominal-res.MinV, res.MaxV-res.VNominal)
+		stressDev := res.MaxDeviation()
 		r := &Fig9Result{
 			WorstDeviation:  worstDev,
 			StressDeviation: stressDev,
@@ -272,12 +272,9 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 		names := append(append([]string{}, cfg.benchmarks()...), "stressmark")
 		jobs := make([]runJob, len(names))
 		for i, name := range names {
-			prog := cfg.stressProgram()
-			if name != "stressmark" {
-				var err error
-				if prog, err = cfg.benchProgram(name); err != nil {
-					return nil, err
-				}
+			prog, err := cfg.program(name)
+			if err != nil {
+				return nil, err
 			}
 			jobs[i] = cfg.baseJob(prog, 1)
 		}

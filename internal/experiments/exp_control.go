@@ -7,11 +7,11 @@ import (
 	"didt/internal/actuator"
 	"didt/internal/control"
 	"didt/internal/core"
+	"didt/internal/cpu"
 	"didt/internal/isa"
 	"didt/internal/pdn"
 	"didt/internal/power"
 	"didt/internal/report"
-	"didt/internal/stats"
 )
 
 // ----------------------------------------------------------------- Table 3
@@ -33,25 +33,13 @@ type Table3Result struct {
 func Table3(cfg Config) (*Table3Result, error) {
 	cfg = cfg.withDefaults()
 	return memoized("table3", cfg, func() (*Table3Result, error) {
-		pm := power.New(power.Params{}, defaultCPUConfig())
-		// The envelope comes from the same probe measurement the coupled
-		// system uses.
-		sys, err := core.NewSystem(cfg.stressProgram(), cfg.baseOptions(2))
+		solver, env, err := stressSolver(cfg)
 		if err != nil {
 			return nil, err
 		}
-		iMin, iMax := sys.Envelope()
-		net, err := pdn.Calibrate(pdn.Params{IFloor: 0.5 * (iMin + iMax)}, iMin, iMax, 2)
-		if err != nil {
-			return nil, err
-		}
-		solver := control.NewSolver(net)
-		floor, ceil := actuator.Ideal.Envelope(pm)
 		r := &Table3Result{ImpedancePct: 2}
 		for d := 0; d <= 6; d++ {
-			th, err := solver.Solve(control.Envelope{
-				IMin: iMin, IMax: iMax, Floor: floor, Ceil: ceil, Settle: 2,
-			}, d)
+			th, err := solver.Solve(env, d)
 			if err != nil {
 				return nil, err
 			}
@@ -59,6 +47,26 @@ func Table3(cfg Config) (*Table3Result, error) {
 		}
 		return r, nil
 	})
+}
+
+// stressSolver builds what the linear-domain studies (Table 3, pid) solve
+// against: the stressmark's current envelope at 200% impedance, measured
+// by the same probe the coupled system uses, the network calibrated to
+// it, and the ideal actuator's authority.
+func stressSolver(cfg Config) (*control.Solver, control.Envelope, error) {
+	sys, err := core.NewSystem(cfg.stressProgram(), cfg.baseOptions(2))
+	if err != nil {
+		return nil, control.Envelope{}, err
+	}
+	defer sys.Close()
+	iMin, iMax := sys.Envelope()
+	net, err := pdn.Calibrate(pdn.Params{IFloor: 0.5 * (iMin + iMax)}, iMin, iMax, 2)
+	if err != nil {
+		return nil, control.Envelope{}, err
+	}
+	floor, ceil := actuator.Ideal.Envelope(power.New(power.Params{}, cpu.DefaultConfig()))
+	env := control.Envelope{IMin: iMin, IMax: iMax, Floor: floor, Ceil: ceil, Settle: 2}
+	return control.NewSolver(net), env, nil
 }
 
 // Render prints the table.
@@ -117,83 +125,28 @@ func sensorDelayStudy(cfg Config) (*SensorDelayStudy, error) {
 	cfg = cfg.withDefaults()
 	return memoized("sensor-delay", cfg, func() (*SensorDelayStudy, error) {
 		benches := cfg.challenging()
-		// Workload index len(benches) is the stressmark throughout.
-		workloads := len(benches) + 1
-		program := func(i int) (isa.Program, error) {
-			if i == len(benches) {
-				return cfg.stressProgram(), nil
-			}
-			return cfg.benchProgram(benches[i])
-		}
-
-		baseJobs := make([]runJob, workloads)
-		for i := range baseJobs {
-			prog, err := program(i)
-			if err != nil {
-				return nil, err
-			}
-			baseJobs[i] = cfg.uncontrolledFullJob(prog, 2)
-		}
-		type base struct{ cycles, energy float64 }
-		baseRes, err := sweep(cfg, baseJobs, runKeyed)
-		if err != nil {
-			return nil, err
-		}
-		bases := make([]base, workloads)
-		for i, res := range baseRes {
-			bases[i] = base{float64(res.Cycles), res.Energy}
-		}
-
-		// One controlled run per (delay, workload); the flattened grid
-		// keeps results in (delay-major, bench-order) submission order so
-		// the per-delay means sum in exactly the serial order.
+		// The stressmark is the last workload of every delay.
+		workloads := append(append([]string{}, benches...), "stressmark")
 		const delays = 7
-		type outcome struct {
-			perfPct, energyPct float64
-			emergencies        uint64
-		}
-		jobs := make([]runJob, delays*workloads)
-		for j := range jobs {
-			d, i := j/workloads, j%workloads
-			prog, err := program(i)
-			if err != nil {
-				return nil, err
-			}
-			jobs[j] = cfg.controlledJob(prog, 2, actuator.Ideal, d, 0)
-		}
-		gridRes, err := sweep(cfg, jobs, runKeyed)
+		runs, err := controlledCosts(cfg, workloads, seq(delays), func(d int, prog isa.Program) runJob {
+			return cfg.controlledJob(prog, 2, actuator.Ideal, d, 0)
+		})
 		if err != nil {
 			return nil, err
 		}
-		runs := make([]outcome, len(gridRes))
-		for j, res := range gridRes {
-			b := bases[j%workloads]
-			runs[j] = outcome{
-				perfPct:     100 * (float64(res.Cycles)/b.cycles - 1),
-				energyPct:   100 * (res.Energy/b.energy - 1),
-				emergencies: res.Emergencies,
-			}
-		}
-
 		st := &SensorDelayStudy{}
 		for d := 0; d < delays; d++ {
-			var perf, energy []float64
-			var emerg uint64
-			for i := 0; i < len(benches); i++ {
-				o := runs[d*workloads+i]
-				perf = append(perf, o.perfPct)
-				energy = append(energy, o.energyPct)
-				emerg += o.emergencies
-			}
-			stress := runs[d*workloads+len(benches)]
+			point := runs[d*len(workloads) : (d+1)*len(workloads)]
+			perf, energy, emerg, _ := specMeans(point[:len(benches)])
+			stress := point[len(benches)]
 			st.Points = append(st.Points, DelayPoint{
 				Delay:           d,
-				SpecPerfLossPct: stats.Mean(perf),
-				SpecEnergyPct:   stats.Mean(energy),
-				StressPerfPct:   stress.perfPct,
-				StressEnergyPct: stress.energyPct,
+				SpecPerfLossPct: perf,
+				SpecEnergyPct:   energy,
+				StressPerfPct:   stress.PerfPct,
+				StressEnergyPct: stress.EnergyPct,
 				SpecEmergencies: emerg,
-				StressEmerg:     stress.emergencies,
+				StressEmerg:     stress.Emergencies,
 			})
 		}
 		return st, nil
@@ -201,50 +154,40 @@ func sensorDelayStudy(cfg Config) (*SensorDelayStudy, error) {
 }
 
 func renderFig14(cfg Config, w io.Writer) error {
-	st, err := sensorDelayStudy(cfg)
-	if err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title:   "Figure 14: impact of sensor delay on performance (ideal actuator, 200% impedance)",
-		Headers: []string{"delay", "SPEC mean perf loss (%)", "stressmark perf loss (%)"},
-	}
-	var spec, stress []float64
-	for _, p := range st.Points {
-		t.AddRow(fmt.Sprintf("%d", p.Delay), fmt.Sprintf("%.2f", p.SpecPerfLossPct), fmt.Sprintf("%.2f", p.StressPerfPct))
-		spec = append(spec, p.SpecPerfLossPct)
-		stress = append(stress, p.StressPerfPct)
-	}
-	t.Notes = append(t.Notes, "SPEC is largely unaffected; the near-worst-case stressmark pays significantly more as sensing slows")
-	t.Render(w)
-	(&report.LinePlot{
-		Title:  "Figure 14 (perf loss vs sensor delay)",
-		YLabel: "% slowdown",
-		Series: []report.Series{{Name: "SPEC mean", Data: spec}, {Name: "stressmark", Data: stress}},
-		Height: 12,
-	}).Render(w)
-	return nil
+	return renderDelay(cfg, w, "14", "performance", "perf loss", "% slowdown",
+		func(p DelayPoint) (float64, float64) { return p.SpecPerfLossPct, p.StressPerfPct },
+		"SPEC is largely unaffected; the near-worst-case stressmark pays significantly more as sensing slows")
 }
 
 func renderFig15(cfg Config, w io.Writer) error {
+	return renderDelay(cfg, w, "15", "energy", "energy increase", "% energy",
+		func(p DelayPoint) (float64, float64) { return p.SpecEnergyPct, p.StressEnergyPct })
+}
+
+// renderDelay prints one sensor-delay figure: the SPEC mean and the
+// stressmark value of one cost, per delay, as a table and a line plot.
+func renderDelay(cfg Config, w io.Writer, fig, impact, cost, yLabel string,
+	metric func(DelayPoint) (spec, stress float64), notes ...string) error {
 	st, err := sensorDelayStudy(cfg)
 	if err != nil {
 		return err
 	}
 	t := &report.Table{
-		Title:   "Figure 15: impact of sensor delay on energy (ideal actuator, 200% impedance)",
-		Headers: []string{"delay", "SPEC mean energy increase (%)", "stressmark energy increase (%)"},
+		Title:   fmt.Sprintf("Figure %s: impact of sensor delay on %s (ideal actuator, 200%% impedance)", fig, impact),
+		Headers: []string{"delay", "SPEC mean " + cost + " (%)", "stressmark " + cost + " (%)"},
+		Notes:   notes,
 	}
 	var spec, stress []float64
 	for _, p := range st.Points {
-		t.AddRow(fmt.Sprintf("%d", p.Delay), fmt.Sprintf("%.2f", p.SpecEnergyPct), fmt.Sprintf("%.2f", p.StressEnergyPct))
-		spec = append(spec, p.SpecEnergyPct)
-		stress = append(stress, p.StressEnergyPct)
+		sp, sm := metric(p)
+		t.AddRow(fmt.Sprintf("%d", p.Delay), fmt.Sprintf("%.2f", sp), fmt.Sprintf("%.2f", sm))
+		spec = append(spec, sp)
+		stress = append(stress, sm)
 	}
 	t.Render(w)
 	(&report.LinePlot{
-		Title:  "Figure 15 (energy increase vs sensor delay)",
-		YLabel: "% energy",
+		Title:  fmt.Sprintf("Figure %s (%s vs sensor delay)", fig, cost),
+		YLabel: yLabel,
 		Series: []report.Series{{Name: "SPEC mean", Data: spec}, {Name: "stressmark", Data: stress}},
 		Height: 12,
 	}).Render(w)
@@ -272,60 +215,19 @@ func sensorErrorStudy(cfg Config) (*SensorErrorStudy, error) {
 		const delay = 2
 		benches := cfg.challenging()
 		noises := []float64{0, 10, 15, 20, 25}
-
-		baseJobs := make([]runJob, len(benches))
-		for i, name := range benches {
-			prog, err := cfg.benchProgram(name)
-			if err != nil {
-				return nil, err
-			}
-			baseJobs[i] = cfg.uncontrolledFullJob(prog, 2)
-		}
-		type base struct{ cycles, energy float64 }
-		baseRes, err := sweep(cfg, baseJobs, runKeyed)
+		runs, err := controlledCosts(cfg, benches, noises, func(noise float64, prog isa.Program) runJob {
+			return cfg.controlledJob(prog, 2, actuator.Ideal, delay, noise)
+		})
 		if err != nil {
 			return nil, err
 		}
-		bases := make([]base, len(benches))
-		for i, res := range baseRes {
-			bases[i] = base{float64(res.Cycles), res.Energy}
-		}
-
-		jobs := make([]runJob, len(noises)*len(benches))
-		for j := range jobs {
-			n, i := j/len(benches), j%len(benches)
-			prog, err := cfg.benchProgram(benches[i])
-			if err != nil {
-				return nil, err
-			}
-			jobs[j] = cfg.controlledJob(prog, 2, actuator.Ideal, delay, noises[n])
-		}
-		gridRes, err := sweep(cfg, jobs, runKeyed)
-		if err != nil {
-			return nil, err
-		}
-		type outcome struct{ perfPct, energyPct float64 }
-		runs := make([]outcome, len(gridRes))
-		for j, res := range gridRes {
-			b := bases[j%len(benches)]
-			runs[j] = outcome{
-				perfPct:   100 * (float64(res.Cycles)/b.cycles - 1),
-				energyPct: 100 * (res.Energy/b.energy - 1),
-			}
-		}
-
 		st := &SensorErrorStudy{Delay: delay}
 		for n, noise := range noises {
-			var perf, energy []float64
-			for i := range benches {
-				o := runs[n*len(benches)+i]
-				perf = append(perf, o.perfPct)
-				energy = append(energy, o.energyPct)
-			}
+			perf, energy, _, _ := specMeans(runs[n*len(benches) : (n+1)*len(benches)])
 			st.Points = append(st.Points, NoisePoint{
 				NoiseMV:         noise,
-				SpecPerfLossPct: stats.Mean(perf),
-				SpecEnergyPct:   stats.Mean(energy),
+				SpecPerfLossPct: perf,
+				SpecEnergyPct:   energy,
 			})
 		}
 		return st, nil

@@ -20,7 +20,7 @@ import (
 	"didt/internal/actuator"
 	"didt/internal/control"
 	"didt/internal/core"
-	"didt/internal/pdn"
+	"didt/internal/isa"
 	"didt/internal/power"
 	"didt/internal/report"
 )
@@ -47,36 +47,30 @@ func asymmetricStudy(cfg Config) (*AsymmetricStudy, error) {
 	cfg = cfg.withDefaults()
 	return memoized("asymmetric", cfg, func() (*AsymmetricStudy, error) {
 		const delay = 2
-		prog := cfg.stressProgram()
-		base, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
-		if err != nil {
-			return nil, err
-		}
 		responders := []actuator.Responder{
 			actuator.FUDL1IL1,
 			actuator.GateWideFireNarrow,
 			actuator.Asymmetric{Name: "gate FU/DL1, fire FU/DL1/IL1", Low: actuator.FUDL1, High: actuator.FUDL1IL1},
 		}
-		points, err := sweep(cfg, responders, func(r actuator.Responder) (AsymmetricPoint, error) {
-			opts := cfg.baseOptions(2)
-			opts.Spec.Control.Enabled = true
-			opts.Responder = r
-			opts.Spec.Sensor.DelayCycles = delay
-			opts.Spec.Budget.MaxCycles = cfg.Cycles * 4
-			res, err := runKeyed(runJob{prog: prog, opts: opts})
-			if err != nil {
-				return AsymmetricPoint{}, err
-			}
-			return AsymmetricPoint{
-				Label:       r.Label(),
-				PerfLossPct: 100 * (float64(res.Cycles)/float64(base.Cycles) - 1),
-				EnergyPct:   100 * (res.Energy/base.Energy - 1),
-				Emergencies: res.Emergencies,
-				HighEvents:  res.HighEvents,
-			}, nil
+		runs, err := controlledCosts(cfg, []string{"stressmark"}, responders, func(r actuator.Responder, prog isa.Program) runJob {
+			j := cfg.uncontrolledFullJob(prog, 2)
+			j.opts.Spec.Control.Enabled = true
+			j.opts.Responder = r
+			j.opts.Spec.Sensor.DelayCycles = delay
+			return j
 		})
 		if err != nil {
 			return nil, err
+		}
+		points := make([]AsymmetricPoint, len(runs))
+		for i, r := range runs {
+			points[i] = AsymmetricPoint{
+				Label:       responders[i].Label(),
+				PerfLossPct: r.PerfPct,
+				EnergyPct:   r.EnergyPct,
+				Emergencies: r.Emergencies,
+				HighEvents:  r.HighEvents,
+			}
 		}
 		return &AsymmetricStudy{Delay: delay, Points: points}, nil
 	})
@@ -106,25 +100,14 @@ func renderAsymmetric(cfg Config, w io.Writer) error {
 func pidStudy(cfg Config) ([]control.PIDPoint, error) {
 	cfg = cfg.withDefaults()
 	return memoized("pid", cfg, func() ([]control.PIDPoint, error) {
-		// Envelope measured the same way the coupled system measures it.
-		sys, err := core.NewSystem(cfg.stressProgram(), cfg.baseOptions(2))
+		solver, env, err := stressSolver(cfg)
 		if err != nil {
 			return nil, err
 		}
-		iMin, iMax := sys.Envelope()
-		net, err := pdn.Calibrate(pdn.Params{IFloor: 0.5 * (iMin + iMax)}, iMin, iMax, 2)
-		if err != nil {
-			return nil, err
-		}
-		pm := power.New(power.Params{}, defaultCPUConfig())
-		floor, ceil := actuator.Ideal.Envelope(pm)
-		solver := control.NewSolver(net)
 		// Section 6: a digital P-I-D "would require a series of additions
 		// and multiplications ... this would likely increase the control
 		// delay" — charge it 3 extra cycles.
-		return solver.ComparePID(control.Envelope{
-			IMin: iMin, IMax: iMax, Floor: floor, Ceil: ceil, Settle: 2,
-		}, 4, 3)
+		return solver.ComparePID(env, 4, 3)
 	})
 }
 
@@ -171,7 +154,7 @@ func rampStudy(cfg Config) ([]RampPoint, error) {
 	return memoized("ramp-policy", cfg, func() ([]RampPoint, error) {
 		prog := cfg.stressProgram()
 		var out []RampPoint
-		var baseCycles uint64
+		var base *core.Result
 		for _, ramp := range []int{0, 16, 48} {
 			opts := cfg.baseOptions(2)
 			opts.Spec.Budget.MaxCycles = cfg.Cycles * 4
@@ -185,17 +168,13 @@ func rampStudy(cfg Config) ([]RampPoint, error) {
 				name = fmt.Sprintf("pessimistic ramp %d cycles", ramp)
 			}
 			if ramp == 0 {
-				baseCycles = res.Cycles
-			}
-			dev := res.VNominal - res.MinV
-			if up := res.MaxV - res.VNominal; up > dev {
-				dev = up
+				base = res
 			}
 			out = append(out, RampPoint{
 				Policy:      name,
 				Cycles:      res.Cycles,
-				PerfLossPct: 100 * (float64(res.Cycles)/float64(baseCycles) - 1),
-				MaxDevMV:    dev * 1e3,
+				PerfLossPct: costOver(res, base).PerfPct,
+				MaxDevMV:    res.MaxDeviation() * 1e3,
 				Emergencies: res.Emergencies,
 			})
 		}
@@ -244,15 +223,11 @@ func gatingAblation(cfg Config) ([]GatingAblationPoint, error) {
 			if err != nil {
 				return GatingAblationPoint{}, err
 			}
-			dev := res.VNominal - res.MinV
-			if up := res.MaxV - res.VNominal; up > dev {
-				dev = up
-			}
 			return GatingAblationPoint{
 				IdleFraction: idle,
 				IMin:         res.IMin,
 				IMax:         res.IMax,
-				StressDevMV:  dev * 1e3,
+				StressDevMV:  res.MaxDeviation() * 1e3,
 				Emergencies:  res.Emergencies,
 			}, nil
 		})

@@ -66,21 +66,16 @@ func RailsEmergencies(cfg Config) (*RailsEmergenciesResult, error) {
 	cfg = cfg.withDefaults()
 	return memoized("rails-emergencies", cfg, func() (*RailsEmergenciesResult, error) {
 		const pct = 3
-		names := cfg.benchmarks()
-		jobs := make([]runJob, 0, len(names)+1)
-		for _, name := range names {
-			prog, err := cfg.benchProgram(name)
+		names := append(append([]string{}, cfg.benchmarks()...), "stressmark")
+		jobs := make([]runJob, len(names))
+		for i, name := range names {
+			prog, err := cfg.program(name)
 			if err != nil {
 				return nil, err
 			}
-			j := cfg.baseJob(prog, pct)
-			railsSpec(&j.opts.Spec)
-			jobs = append(jobs, j)
+			jobs[i] = cfg.baseJob(prog, pct)
+			railsSpec(&jobs[i].opts.Spec)
 		}
-		prog := cfg.stressProgram()
-		j := cfg.baseJob(prog, pct)
-		railsSpec(&j.opts.Spec)
-		jobs = append(jobs, j)
 
 		results, err := sweep(cfg, jobs, runKeyed)
 		if err != nil {
@@ -88,11 +83,7 @@ func RailsEmergencies(cfg Config) (*RailsEmergenciesResult, error) {
 		}
 		r := &RailsEmergenciesResult{Pct: pct, Rails: railNames}
 		for k, res := range results {
-			name := "stressmark"
-			if k < len(names) {
-				name = names[k]
-			}
-			row := RailsEmergenciesRow{Name: name, Aggregate: res.EmergencyFreq}
+			row := RailsEmergenciesRow{Name: names[k], Aggregate: res.EmergencyFreq}
 			for _, rr := range res.Rails {
 				row.PerRail = append(row.PerRail, rr.EmergencyFreq)
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"didt/internal/actuator"
+	"didt/internal/isa"
 	"didt/internal/report"
 )
 
@@ -24,34 +25,28 @@ type RecoveryPoint struct {
 func recoveryStudy(cfg Config) ([]RecoveryPoint, error) {
 	cfg = cfg.withDefaults()
 	return memoized("recovery-policy", cfg, func() ([]RecoveryPoint, error) {
-		prog := cfg.stressProgram()
-		base, err := runKeyed(cfg.uncontrolledFullJob(prog, 2))
+		flushes := []bool{false, true}
+		runs, err := controlledCosts(cfg, []string{"stressmark"}, flushes, func(flush bool, prog isa.Program) runJob {
+			j := cfg.controlledJob(prog, 2, actuator.FUDL1, 2, 0)
+			j.opts.Spec.Control.FlushRecovery = flush
+			return j
+		})
 		if err != nil {
 			return nil, err
 		}
-		var out []RecoveryPoint
-		for _, flush := range []bool{false, true} {
-			opts := cfg.baseOptions(2)
-			opts.Spec.Control.Enabled = true
-			opts.Spec.Actuator.Mechanism = actuator.FUDL1.Name
-			opts.Spec.Sensor.DelayCycles = 2
-			opts.Spec.Control.FlushRecovery = flush
-			opts.Spec.Budget.MaxCycles = cfg.Cycles * 4
-			res, err := runKeyed(runJob{prog: prog, opts: opts})
-			if err != nil {
-				return nil, err
-			}
+		out := make([]RecoveryPoint, len(runs))
+		for i, r := range runs {
 			style := "protect and resume (paper's assumption)"
-			if flush {
+			if flushes[i] {
 				style = "flush front end on each gating episode"
 			}
-			out = append(out, RecoveryPoint{
+			out[i] = RecoveryPoint{
 				Style:       style,
-				Cycles:      res.Cycles,
-				PerfLossPct: 100 * (float64(res.Cycles)/float64(base.Cycles) - 1),
-				EnergyPct:   100 * (res.Energy/base.Energy - 1),
-				Emergencies: res.Emergencies,
-			})
+				Cycles:      r.Cycles,
+				PerfLossPct: r.PerfPct,
+				EnergyPct:   r.EnergyPct,
+				Emergencies: r.Emergencies,
+			}
 		}
 		return out, nil
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"didt/internal/core"
 	"didt/internal/report"
 	"didt/internal/workload"
 )
@@ -25,7 +26,7 @@ func softwareStudy(cfg Config) ([]SoftwarePoint, error) {
 	cfg = cfg.withDefaults()
 	return memoized("software-scheduling", cfg, func() ([]SoftwarePoint, error) {
 		var out []SoftwarePoint
-		var baseCycles uint64
+		var base *core.Result
 		for _, smoothed := range []bool{false, true} {
 			prog := workload.Stressmark(workload.StressmarkParams{
 				Iterations:    cfg.StressIter,
@@ -39,17 +40,13 @@ func softwareStudy(cfg Config) ([]SoftwarePoint, error) {
 			if smoothed {
 				name = "dI/dt-aware schedule (chained burst)"
 			} else {
-				baseCycles = res.Cycles
-			}
-			dev := res.VNominal - res.MinV
-			if up := res.MaxV - res.VNominal; up > dev {
-				dev = up
+				base = res
 			}
 			out = append(out, SoftwarePoint{
 				Variant:     name,
 				Cycles:      res.Cycles,
-				PerfLossPct: 100 * (float64(res.Cycles)/float64(baseCycles) - 1),
-				MaxDevMV:    dev * 1e3,
+				PerfLossPct: costOver(res, base).PerfPct,
+				MaxDevMV:    res.MaxDeviation() * 1e3,
 				Emergencies: res.Emergencies,
 			})
 		}

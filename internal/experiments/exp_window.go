@@ -38,14 +38,10 @@ func windowAblation(cfg Config) ([]WindowPoint, error) {
 		}
 		points := make([]WindowPoint, len(ruus))
 		for i, res := range results {
-			dev := res.VNominal - res.MinV
-			if up := res.MaxV - res.VNominal; up > dev {
-				dev = up
-			}
 			points[i] = WindowPoint{
 				RUUSize:     ruus[i],
 				IPC:         res.IPC(),
-				MaxDevMV:    dev * 1e3,
+				MaxDevMV:    res.MaxDeviation() * 1e3,
 				Emergencies: res.Emergencies,
 			}
 		}

@@ -176,6 +176,14 @@ func (c Config) stressProgram() isa.Program {
 	return workload.StressmarkCached(workload.StressmarkParams{Iterations: c.StressIter})
 }
 
+// program resolves a workload name: "stressmark" or a SPEC profile.
+func (c Config) program(name string) (isa.Program, error) {
+	if name == "stressmark" {
+		return c.stressProgram(), nil
+	}
+	return c.benchProgram(name)
+}
+
 // workers resolves the sweep worker count for this configuration.
 func (c Config) workers() int {
 	if c.Parallel > 0 {

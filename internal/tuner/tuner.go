@@ -45,15 +45,9 @@ func TuneStressmark(opts core.Options) (best TuneResult, all []TuneResult, err e
 				if err != nil {
 					return TuneResult{}, nil, err
 				}
-				devLo := res.VNominal - res.MinV
-				devHi := res.MaxV - res.VNominal
-				dev := devLo
-				if devHi > dev {
-					dev = devHi
-				}
 				r := TuneResult{
 					Params:        p,
-					MaxDeviation:  dev,
+					MaxDeviation:  res.MaxDeviation(),
 					CyclesPerIter: float64(res.Cycles) / float64(iters),
 					Emergencies:   res.Emergencies,
 				}
