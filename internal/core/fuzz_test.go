@@ -20,8 +20,10 @@ import (
 // (internal/spec/testdata/default_spec.json), a sparse one, a controlled
 // one, a three-rail spec with coupling, per-rail sensing and DVS, and
 // three with a negative unit count or fetch-queue length (once accepted by
-// Validate, then a makeslice panic in cpu.New), and one whose PDN kernel
-// cap would have sampled ~7e7 taps (now rejected by Validate);
+// Validate, then a makeslice panic in cpu.New), one whose PDN kernel cap
+// would have sampled ~7e7 taps, one whose 3e9-cycle resonant period would
+// have made the threshold solve run for days and one whose zero-cycle
+// period divided by zero in it (all three now rejected by Validate);
 // `go test -fuzz FuzzSpecNewSystem ./internal/core` explores further.
 func FuzzSpecNewSystem(f *testing.F) {
 	prog := alternator(2)

@@ -60,14 +60,29 @@ type Params struct {
 // bound keeps a spec from sizing an arbitrarily large allocation.
 const MaxKernelTaps = 1 << 16
 
+// MaxResonantPeriod is the longest resonant period, in CPU cycles, that
+// Validate accepts (68 times the paper's 60): a threshold solve steps
+// each worst-case scenario for 14 periods, so the bound keeps a spec from
+// making one solve arbitrarily long.
+const MaxResonantPeriod = 4096
+
 // Validate checks the fields a caller may leave at zero for a default:
-// none may be negative, and MaxKernelLen may not exceed MaxKernelTaps.
+// none may be negative, MaxKernelLen may not exceed MaxKernelTaps, and
+// when ClockHz and ResonantHz are both set the resonant period must lie
+// in [2, MaxResonantPeriod] cycles — a shorter one is past the clock's
+// Nyquist limit, and the solver's square waves have no half period.
 func (p Params) Validate() error {
 	if p.ClockHz < 0 || p.ResonantHz < 0 || p.DCResistance < 0 || p.TruncRelTol < 0 || p.MaxKernelLen < 0 {
 		return errors.New("pdn: params must be non-negative")
 	}
 	if p.MaxKernelLen > MaxKernelTaps {
 		return fmt.Errorf("pdn: MaxKernelLen %d exceeds %d", p.MaxKernelLen, MaxKernelTaps)
+	}
+	if p.ClockHz > 0 && p.ResonantHz > 0 {
+		if period := math.Round(p.ClockHz / p.ResonantHz); period < 2 || period > MaxResonantPeriod {
+			return fmt.Errorf("pdn: resonant period %g cycles (ClockHz %g / ResonantHz %g) outside [2, %d]",
+				period, p.ClockHz, p.ResonantHz, MaxResonantPeriod)
+		}
 	}
 	return nil
 }

@@ -37,12 +37,14 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	for _, p := range []Params{{}, {MaxKernelLen: MaxKernelTaps}, {ClockHz: 1e13, TruncRelTol: 1e-300}} {
+	for _, p := range []Params{{}, {MaxKernelLen: MaxKernelTaps}, {ClockHz: 1e13, TruncRelTol: 1e-300},
+		{ClockHz: DefaultClockHz, ResonantHz: DefaultClockHz / MaxResonantPeriod}, {ClockHz: DefaultClockHz, ResonantHz: DefaultClockHz / 2}} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%+v: %v", p, err)
 		}
 	}
-	for _, p := range []Params{{MaxKernelLen: MaxKernelTaps + 1}, {MaxKernelLen: -1}, {ClockHz: -1}, {TruncRelTol: -1e-9}} {
+	for _, p := range []Params{{MaxKernelLen: MaxKernelTaps + 1}, {MaxKernelLen: -1}, {ClockHz: -1}, {TruncRelTol: -1e-9},
+		{ClockHz: DefaultClockHz, ResonantHz: 1}, {ClockHz: 1e13, ResonantHz: DefaultResonantHz}, {ClockHz: DefaultClockHz, ResonantHz: 1e10}} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%+v: want error", p)
 		}

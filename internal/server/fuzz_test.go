@@ -17,9 +17,10 @@ import (
 // take: a validated spec with a program, a validated sweep over known
 // experiments, or batch entries that each become exactly one error record
 // or one job index. The committed corpus (testdata/fuzz/FuzzDecodeRequests)
-// holds a valid and an invalid body per endpoint, plus a simulate spec
-// whose PDN kernel cap is past pdn.MaxKernelTaps; `go test -fuzz
-// FuzzDecodeRequests ./internal/server` explores further.
+// holds a valid and an invalid body per endpoint, plus simulate specs
+// whose PDN kernel cap is past pdn.MaxKernelTaps and whose resonant period
+// is past pdn.MaxResonantPeriod; `go test -fuzz FuzzDecodeRequests
+// ./internal/server` explores further.
 func FuzzDecodeRequests(f *testing.F) {
 	paths := [3]string{"/v1/simulate", "/v1/sweep", "/v1/batch"}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
@@ -117,5 +118,19 @@ func TestDecodeRejectsUnboundedKernel(t *testing.T) {
 	if _, _, _, ok := decodeSimulate(rec, r); ok || rec.Code != http.StatusBadRequest ||
 		!strings.Contains(rec.Body.String(), "MaxKernelLen") {
 		t.Fatalf("accepted=%v, answered %d %q; want a 400 naming MaxKernelLen", ok, rec.Code, rec.Body.String())
+	}
+}
+
+// TestDecodeRejectsLongResonantPeriod: a simulate spec whose PDN resonant
+// period is past pdn.MaxResonantPeriod is a 400 at decode time, before a
+// threshold solve could step its scenarios for 14 periods of 3e9 cycles.
+// The same body is in the fuzz corpus.
+func TestDecodeRejectsLongResonantPeriod(t *testing.T) {
+	body := `{"spec":{"pdn":{"params":{"ResonantHz":1}},"control":{"enabled":true}}}`
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body))
+	if _, _, _, ok := decodeSimulate(rec, r); ok || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "resonant period") {
+		t.Fatalf("accepted=%v, answered %d %q; want a 400 naming the resonant period", ok, rec.Code, rec.Body.String())
 	}
 }

@@ -235,6 +235,12 @@ func TestRailsValidation(t *testing.T) {
 		{"unbounded rail kernel", func(s *RunSpec) {
 			s.PDN.Rails[1].Params.MaxKernelLen = 1 << 30
 		}, `rail "mem": pdn: MaxKernelLen 1073741824 exceeds`},
+		{"low rail resonance", func(s *RunSpec) {
+			s.PDN.Rails[1].Params = pdn.Params{ClockHz: pdn.DefaultClockHz, ResonantHz: 1e5}
+		}, `rail "mem": pdn: resonant period 30000 cycles`},
+		{"fast rail clock", func(s *RunSpec) {
+			s.PDN.Rails[2].Params = pdn.Params{ClockHz: 1e13, ResonantHz: pdn.DefaultResonantHz}
+		}, `rail "fetch": pdn: resonant period 200000 cycles`},
 		{"envelope override on several rails", func(s *RunSpec) {
 			s.PDN.EnvelopeIMax = 48
 		}, "need a single rail"},

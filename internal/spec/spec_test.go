@@ -257,6 +257,24 @@ func TestResolveRejectsInvalid(t *testing.T) {
 	if _, err := huge.Resolve(); err == nil || !strings.Contains(err.Error(), "MaxKernelLen 1073741824 exceeds") {
 		t.Errorf("Resolve of an unbounded pdn kernel: got %v, want the MaxKernelLen bound", err)
 	}
+	// A long resonant period, from a low ResonantHz or a high ClockHz,
+	// would make every threshold solve step 14 periods per scenario; a
+	// period that rounds to zero cycles divided by zero in the solver.
+	for body, want := range map[string]string{
+		`{"pdn":{"params":{"ResonantHz":1e10}},"control":{"enabled":true}}`: "spec: pdn: resonant period 0 cycles",
+		`{"pdn":{"params":{"ResonantHz":1}},"control":{"enabled":true}}`:    "spec: pdn: resonant period 3e+09 cycles",
+		`{"pdn":{"params":{"ClockHz":1e13}}}`:                               "spec: pdn: resonant period 200000 cycles",
+		`{"pdn":{"rails":[{"name":"core","params":{"ResonantHz":1e5}}]}}`:   `rail "core": pdn: resonant period 30000 cycles`,
+		`{"pdn":{"rails":[{"name":"core","params":{"ClockHz":1e13}}]}}`:     `rail "core": pdn: resonant period 200000 cycles`,
+	} {
+		var long RunSpec
+		if err := json.Unmarshal([]byte(body), &long); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := long.Resolve(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Resolve(%s): got %v, want %q", body, err, want)
+		}
+	}
 	var ok RunSpec
 	ok.Workload.Name = "swim"
 	r, err := ok.Resolve()
