@@ -194,35 +194,21 @@ func (s *Solver) solve(env Envelope, delay int) Thresholds {
 	return Thresholds{Low: lo, High: hi, Stable: true, SafeWindow: hi - lo}
 }
 
-// excursions runs the controlled linear plant against the worst-case input
-// suite and returns the extreme voltages observed.
-func (s *Solver) excursions(lo, hi float64, env Envelope, delay int) (minV, maxV float64) {
+// excursions runs the controlled linear plant once against the worst-case
+// input suite and returns the extreme voltages observed, plus the fraction
+// of cycles the controller overrode the workload's demand — the proxy for
+// its performance cost in the linear-domain studies.
+func (s *Solver) excursions(lo, hi float64, env Envelope, delay int) (minV, maxV, intervene float64) {
 	minV, maxV = math.Inf(1), math.Inf(-1)
+	var intervened, total int
 	for _, sc := range scenarios {
 		r := s.runScenario(sc, lo, hi, env, delay)
 		minV = math.Min(minV, r.minV)
 		maxV = math.Max(maxV, r.maxV)
-	}
-	return minV, maxV
-}
-
-// InterventionFraction reports the fraction of cycles the threshold
-// controller overrides the workload's demand on the worst-case suite — the
-// proxy for its performance cost in the linear-domain studies.
-func (s *Solver) InterventionFraction(th Thresholds, env Envelope, delay int) float64 {
-	if !th.Stable {
-		return 1
-	}
-	var intervened, total int
-	for _, sc := range scenarios {
-		r := s.runScenario(sc, th.Low, th.High, env, delay)
 		intervened += r.intervened
 		total += r.cycles
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(intervened) / float64(total)
+	return minV, maxV, float64(intervened) / float64(total)
 }
 
 // scenarioResult summarizes one closed-loop scenario run.

@@ -139,7 +139,7 @@ func TestGuaranteeHolds(t *testing.T) {
 		if !th.Stable {
 			t.Fatalf("delay %d unstable", d)
 		}
-		minV, maxV := s.excursions(th.Low, th.High, refEnv(), d)
+		minV, maxV, _ := s.excursions(th.Low, th.High, refEnv(), d)
 		if minV < net.VMin()-2e-4 {
 			t.Errorf("delay %d: guaranteed minV %.4f below band %.4f", d, minV, net.VMin())
 		}
@@ -195,7 +195,7 @@ func TestProbeViolationsMatchExcursions(t *testing.T) {
 		pr := s.newProbe(env, delay)
 		for _, lo := range []float64{vMin, vMin + 0.01, 0.5 * (vMin + vNom), vNom - 1e-4} {
 			for _, hi := range []float64{vNom + 1e-4, 0.5 * (vNom + vMax), vMax} {
-				minV, maxV := s.excursions(lo, hi, env, delay)
+				minV, maxV, _ := s.excursions(lo, hi, env, delay)
 				wantLow := minV < vMin-solveEps
 				wantHigh := maxV > vMax+solveEps
 				// Needed verdicts must match the sequential path exactly.
@@ -249,7 +249,7 @@ func TestWeakActuatorMatchesSequentialSolve(t *testing.T) {
 		}
 		vMin, vMax := s.net.VMin(), s.net.VMax()
 		if th.Stable {
-			minV, maxV := s.excursions(th.Low, th.High, weak, d)
+			minV, maxV, _ := s.excursions(th.Low, th.High, weak, d)
 			if minV < vMin-solveEps || maxV > vMax+solveEps {
 				t.Errorf("delay %d: solved thresholds violate the band on the sequential path", d)
 			}

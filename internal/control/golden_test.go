@@ -143,7 +143,7 @@ func TestProbeEdgePlacement(t *testing.T) {
 				if tc.name == "hi" {
 					lo, hi = never[0], th
 				}
-				minV, maxV := s.excursions(lo, hi, env, delay)
+				minV, maxV, _ := s.excursions(lo, hi, env, delay)
 				wantLow, wantHigh := minV < net.VMin()-solveEps, maxV > net.VMax()+solveEps
 				before := pr.exactEvals
 				low, high := pr.violations(lo, hi, true, true)

@@ -78,10 +78,10 @@ func (s *Solver) ComparePID(env Envelope, maxDelay, extraPIDDelay int) ([]PIDPoi
 			return nil, err
 		}
 		if th.Stable {
-			minV, maxV := s.excursions(th.Low, th.High, env, d)
+			minV, maxV, intervene := s.excursions(th.Low, th.High, env, d)
 			pt.ThresholdDev = math.Max(vNom-minV, maxV-vNom)
 			pt.ThresholdOK = pt.ThresholdDev <= tol+1e-4
-			pt.ThresholdIntervene = s.InterventionFraction(th, env, d)
+			pt.ThresholdIntervene = intervene
 		}
 
 		// PID: coarse gain search, each candidate evaluated on the same
@@ -90,17 +90,17 @@ func (s *Solver) ComparePID(env Envelope, maxDelay, extraPIDDelay int) ([]PIDPoi
 		for _, kp := range []float64{100, 300, 600, 1200, 2400} {
 			for _, ki := range []float64{0, 5, 20} {
 				for _, kd := range []float64{0, 200, 800} {
-					dev, _ := s.pidExcursion(PID{Kp: kp, Ki: ki, Kd: kd, Setpoint: vNom}, env, pt.PIDDelay)
+					dev, intervene := s.pidExcursion(PID{Kp: kp, Ki: ki, Kd: kd}, env, pt.PIDDelay)
 					if dev < best {
 						best = dev
 						pt.BestGains = PID{Kp: kp, Ki: ki, Kd: kd}
+						pt.PIDIntervene = intervene
 					}
 				}
 			}
 		}
 		pt.PIDDev = best
 		pt.PIDOK = best <= tol+1e-4
-		_, pt.PIDIntervene = s.pidExcursion(PID{Kp: pt.BestGains.Kp, Ki: pt.BestGains.Ki, Kd: pt.BestGains.Kd, Setpoint: vNom}, env, pt.PIDDelay)
 		out = append(out, pt)
 	}
 	return out, nil
@@ -113,41 +113,19 @@ func (s *Solver) pidExcursion(gains PID, env Envelope, delay int) (float64, floa
 	worst := 0.0
 	var intervened, total int
 	vNom := s.net.Params().VNominal
+	period := s.net.ResonantPeriodCycles()
+	cycles := s.net.KernelLen() + 14*period
+	vHist := make([]float64, delay+1)
 	for _, sc := range scenarios {
 		pid := gains
 		pid.Setpoint = vNom
-		period := s.net.ResonantPeriodCycles()
-		cycles := s.net.KernelLen() + 14*period
 		sim := s.net.NewSimulator()
-		vHist := make([]float64, delay+1)
 		for i := range vHist {
 			vHist[i] = vNom
 		}
-		demand := func(c int) float64 {
-			switch sc {
-			case scResonant:
-				if c%period < period/2 {
-					return env.IMax
-				}
-				return env.IMin
-			case scResonantShifted:
-				if (c+period/2)%period < period/2 {
-					return env.IMax
-				}
-				return env.IMin
-			case scStepUp:
-				return env.IMax
-			case scStepDownAfterHigh:
-				if c < cycles/2 {
-					return env.IMax
-				}
-				return env.IMin
-			}
-			return env.IMin
-		}
 		for c := 0; c < cycles; c++ {
 			u := pid.Update(vHist[0])
-			dem := demand(c)
+			dem := scenarioDemand(sc, c, cycles, period, env)
 			i := dem - u
 			// Actuation authority: gating can only pull current down
 			// toward the floor, phantom firing only push it up toward the
@@ -176,9 +154,7 @@ func (s *Solver) pidExcursion(gains PID, env Envelope, delay int) (float64, floa
 			copy(vHist, vHist[1:])
 			vHist[delay] = v
 		}
-	}
-	if total == 0 {
-		return worst, 0
+		sim.Release()
 	}
 	return worst, float64(intervened) / float64(total)
 }
