@@ -5,14 +5,12 @@
 // results come back in submission order, so parallel output is
 // byte-identical to serial output.
 //
-// Three pieces:
+// Two pieces:
 //
 //   - Map / Sweep: run n independent jobs with bounded parallelism and
 //     return their results in submission order regardless of completion
 //     order. Workers <= 0 selects the process-wide default (GOMAXPROCS
 //     unless overridden by SetDefaultWorkers, e.g. from a -parallel flag).
-//   - Pool: the same engine with a fixed worker count, for callers that
-//     want to share one configuration across many sweeps.
 //   - Cache: a singleflight memoization cache for the deterministic
 //     derived artifacts the sweeps share (sampled PDN kernels, generated
 //     workload programs, measured current envelopes); concurrent callers
@@ -311,35 +309,4 @@ func Sweep[In, Out any](ctx context.Context, workers int, items []In, fn func(ct
 	return Map(ctx, workers, len(items), func(ctx context.Context, i int) (Out, error) {
 		return fn(ctx, items[i])
 	})
-}
-
-// Pool is a fixed-width sweep configuration shared across many sweeps.
-// The zero value uses the process default.
-type Pool struct {
-	workers int
-}
-
-// NewPool returns a pool running at most `workers` jobs concurrently;
-// workers <= 0 selects DefaultWorkers at each sweep.
-func NewPool(workers int) *Pool {
-	if workers < 0 {
-		workers = 0
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers reports the pool's effective worker count.
-func (p *Pool) Workers() int {
-	if p == nil || p.workers <= 0 {
-		return DefaultWorkers()
-	}
-	return p.workers
-}
-
-// Run executes fn(ctx, i) for i in [0, n) on the pool (no results).
-func (p *Pool) Run(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, p.Workers(), n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

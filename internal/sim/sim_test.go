@@ -163,23 +163,6 @@ func TestDefaultWorkers(t *testing.T) {
 	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("negative override must restore GOMAXPROCS, got %d", got)
 	}
-	p := NewPool(0)
-	if p.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("pool workers %d", p.Workers())
-	}
-}
-
-func TestPoolRun(t *testing.T) {
-	var sum atomic.Int64
-	if err := NewPool(4).Run(context.Background(), 10, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum %d", sum.Load())
-	}
 }
 
 func TestCacheSingleflight(t *testing.T) {
