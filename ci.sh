@@ -75,12 +75,14 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 # thresholds pinned on observed voltages, and for controlled runs that
 # replay a machine trace until control first acts; the solver's 175-point threshold
 # golden and its edge-placement test; the locality study's five-rail
-# golden; the machine half's golden (core + power model on every benchmark
+# golden; the controlled-cost studies' golden (every field of the
+# baseline-and-grid studies, Table 2, Figure 10 and the rail sweep, bit
+# for bit); the machine half's golden (core + power model on every benchmark
 # and the stressmark, free-running and under a fixed gating/phantom/flush
 # schedule); the core's store queue against an age-ordered window walk on
 # every load of those runs; and the modal fuzz target's committed corpus.
 go test -race -count=1 \
-    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestMachineGolden|TestStoreQueueMatchesScan|TestLocalityGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
+    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestMachineGolden|TestStoreQueueMatchesScan|TestLocalityGolden|TestStudiesGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
     ./internal/experiments ./internal/core ./internal/cpu ./internal/control ./internal/pdn
 
 # Modal fuzzing: random networks and current traces; every modal estimate
@@ -98,7 +100,8 @@ go test -run NONE -fuzz FuzzDecodeEntry -fuzztime=10s ./internal/store
 # (defaults, then Validate) and, when it resolves, built by core.NewSystem;
 # neither step may panic. The committed corpus seeds it with the default,
 # a sparse, a controlled and a three-rail spec, plus specs that Validate
-# must reject: negative unit counts and an unbounded PDN kernel.
+# must reject: negative unit counts, an unbounded PDN kernel and
+# resonant periods too long or too short for the threshold solver.
 go test -run NONE -fuzz FuzzSpecNewSystem -fuzztime=10s ./internal/core
 
 # Replay differential fuzzing: a one-rail spec decoded from arbitrary

@@ -29,7 +29,9 @@ func costOver(res, base *core.Result) runCost {
 // point-major — result p*len(progs)+i is point p on program i — so a
 // per-point aggregate reads its runs in submission order. Each run is
 // costed against its own program's baseline. Every job, baseline or grid,
-// looks its program up by name through cfg.program.
+// looks its program up by name through cfg.program, as the studies always
+// have: the program caches' hit counts that cachestats pins count these
+// lookups.
 func controlledCosts[P any](cfg Config, progs []string, points []P, job func(P, isa.Program) runJob) ([]runCost, error) {
 	baseJobs := make([]runJob, len(progs))
 	for i, name := range progs {
