@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,6 +24,26 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	ids := IDs()
 	if len(ids) != len(reg) {
 		t.Errorf("IDs() has %d entries, registry %d", len(ids), len(reg))
+	}
+}
+
+// TestIDsMatchCommittedOutput: IDs() lists the experiments in exactly the
+// order of the committed `-run all` output, one "[<id> completed in …]"
+// footer per experiment.
+func TestIDsMatchCommittedOutput(t *testing.T) {
+	out, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, m := range regexp.MustCompile(`(?m)^\[(\S+) completed in `).FindAllSubmatch(out, -1) {
+		want = append(want, string(m[1]))
+	}
+	if len(want) != 29 {
+		t.Fatalf("experiments_output.txt has %d experiments, want 29", len(want))
+	}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v\nwant %v", got, want)
 	}
 }
 
