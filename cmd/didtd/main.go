@@ -113,9 +113,6 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("bad entry count %q: %w", val, err)
 		}
-		if _, known := sim.CacheCapacity(name); !known {
-			return fmt.Errorf("unknown cache %q (known: %s)", name, strings.Join(sim.CacheCapacityNames(), ", "))
-		}
 		return sim.SetCacheCapacity(name, n)
 	})
 	flag.Parse()

@@ -79,12 +79,7 @@ type solveCacheKey struct {
 // identical (PDN, envelope, delay) point for every workload; the solve is
 // a pure function of the key, so cached and fresh thresholds are
 // bit-identical.
-var solveCache = sim.NewCache[solveCacheKey, Thresholds](256)
-
-func init() {
-	solveCache.RegisterMetrics(telemetry.Default(), "cache.control_solve")
-	sim.RegisterCache("control_solve", 256, solveCache)
-}
+var solveCache = sim.Register("control_solve", sim.NewCache[solveCacheKey, Thresholds](256))
 
 // SolveCacheStats reports the shared threshold-solve cache's
 // effectiveness.

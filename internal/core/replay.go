@@ -8,7 +8,6 @@ import (
 	"didt/internal/pdn"
 	"didt/internal/power"
 	"didt/internal/sim"
-	"didt/internal/telemetry"
 )
 
 // traceChunk is the machine trace's allocation unit, in cycles. A trace is
@@ -59,12 +58,7 @@ type machineKey struct {
 // capacity is deliberately small: 16 covers a full characterization
 // sweep's distinct (program, machine, budget) combinations in well under
 // 100 MB.
-var traceCache = sim.NewCache[machineKey, *machineRun](16)
-
-func init() {
-	traceCache.RegisterMetrics(telemetry.Default(), "cache.core_trace")
-	sim.RegisterCache("core_trace", 16, traceCache)
-}
+var traceCache = sim.Register("core_trace", sim.NewCache[machineKey, *machineRun](16))
 
 // TraceCacheStats reports the machine-trace cache's effectiveness.
 func TraceCacheStats() sim.CacheStats { return traceCache.Stats() }

@@ -9,7 +9,6 @@ import (
 	"didt/internal/isa"
 	"didt/internal/sim"
 	"didt/internal/spec"
-	"didt/internal/telemetry"
 )
 
 // The experiment suite re-runs behaviorally identical simulations
@@ -20,12 +19,7 @@ import (
 // behavior-canonical spec fingerprint, so each distinct simulation happens
 // once per process. Cached Results are shared across studies and must be
 // treated as read-only, which every renderer already does.
-var runCache = sim.NewCache[runKey, *core.Result](512)
-
-func init() {
-	runCache.RegisterMetrics(telemetry.Default(), "cache.experiments_run")
-	sim.RegisterCache("experiments_run", 512, runCache)
-}
+var runCache = sim.Register("experiments_run", sim.NewCache[runKey, *core.Result](512))
 
 // RunCacheStats reports the shared full-run cache's effectiveness.
 func RunCacheStats() sim.CacheStats { return runCache.Stats() }

@@ -142,12 +142,7 @@ type sampled struct {
 // resolved (calibrated) Params — the same sub-hash that section
 // contributes to spec.RunSpec.Key — and sampling is a pure function of the
 // params, so cached and fresh kernels are bit-identical.
-var kernelCache = sim.NewCache[string, sampled](512)
-
-func init() {
-	kernelCache.RegisterMetrics(telemetry.Default(), "cache.pdn_kernel")
-	sim.RegisterCache("pdn_kernel", 512, kernelCache)
-}
+var kernelCache = sim.Register("pdn_kernel", sim.NewCache[string, sampled](512))
 
 // ResetKernelCache empties the shared impulse-response cache (benchmarks
 // use it to measure cold-start cost).
