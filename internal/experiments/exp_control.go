@@ -92,15 +92,6 @@ func (r *Table3Result) Render(w io.Writer) {
 	t.Render(w)
 }
 
-func renderTable3(cfg Config, w io.Writer) error {
-	r, err := Table3(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
-}
-
 // ------------------------------------------------------- Figures 14 and 15
 
 // DelayPoint is one sensor-delay evaluation.

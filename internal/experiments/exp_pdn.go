@@ -48,15 +48,6 @@ func (r *Fig1Result) Render(w io.Writer) {
 	}).Render(w)
 }
 
-func renderFig1(cfg Config, w io.Writer) error {
-	r, err := Fig1(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
-}
-
 // ---------------------------------------------------------------- Figure 2
 
 // Fig2Result holds the canonical second-order frequency and step responses.
@@ -113,15 +104,6 @@ func (r *Fig2Result) Render(w io.Writer) {
 		Series: []report.Series{{Name: "droop", Data: mv}},
 		Notes:  []string{"underdamped: overshoot and ringing before settling at R*dI"},
 	}).Render(w)
-}
-
-func renderFig2(cfg Config, w io.Writer) error {
-	r, err := Fig2(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
 }
 
 // ------------------------------------------------------- Figures 3, 4, 5, 6
@@ -208,13 +190,4 @@ func (r *PulseResult) Render(w io.Writer) {
 				r.VMin, r.VMax, r.Voltage.Min(), r.Voltage.Max()),
 		},
 	}).Render(w)
-}
-
-func renderPulse(cfg Config, w io.Writer, id string) error {
-	r, err := Pulse(cfg, id)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
 }

@@ -126,15 +126,6 @@ func (r *RailsEmergenciesResult) Render(w io.Writer) {
 	t.Render(w)
 }
 
-func renderRailsEmergencies(cfg Config, w io.Writer) error {
-	r, err := RailsEmergencies(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
-}
-
 // ------------------------------------------------------ rails-resonance
 
 // RailsResonanceResult is the domain-crossing transfer sweep: an aggressor
@@ -252,15 +243,6 @@ func (r *RailsResonanceResult) Render(w io.Writer) {
 	}).Render(w)
 }
 
-func renderRailsResonance(cfg Config, w io.Writer) error {
-	r, err := RailsResonance(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
-}
-
 // ----------------------------------------------------- rails-thresholds
 
 // RailsThresholdRow is one (mechanism, rail) solve.
@@ -340,15 +322,6 @@ func (r *RailsThresholdsResult) Render(w io.Writer) {
 	t.Render(w)
 }
 
-func renderRailsThresholds(cfg Config, w io.Writer) error {
-	r, err := RailsThresholds(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
-}
-
 // ------------------------------------------------------------ rails-dvs
 
 // RailsDVSResult compares gate-only control against gate+DVS on the
@@ -413,13 +386,4 @@ func (r *RailsDVSResult) Render(w io.Writer) {
 		"both runs use one spec each: the DVS section composes with the gate mechanism through the same Responder interface",
 		"DVS trades sustained throughput (lower operating point) for smaller transients on top of cycle-scale gating")
 	t.Render(w)
-}
-
-func renderRailsDVS(cfg Config, w io.Writer) error {
-	r, err := RailsDVS(cfg)
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
 }
