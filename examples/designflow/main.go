@@ -39,7 +39,7 @@ func main() {
 	// Step 2: analyze the processor model — minimum and maximum power.
 	pm := power.New(power.Params{}, didt.CPUConfig{})
 	fmt.Printf("\n2. processor power analysis:\n")
-	fmt.Printf("   idle floor %.1f A, absolute unit-peak sum %.1f A\n", pm.MinCurrent(), pm.MaxCurrent())
+	fmt.Printf("   idle floor %.1f A, absolute unit-peak sum %.1f A\n", pm.MinCurrent(power.AllScopes), pm.MaxCurrent(power.AllScopes))
 	fmt.Printf("   (the coupled system measures the *achievable* maximum with a saturation probe)\n")
 
 	// Step 3: the worst-case waveform — a square wave over the envelope at

@@ -80,8 +80,8 @@ func (m Mechanism) Respond(l sensor.Level) (cpu.Gating, power.Phantom) {
 // highest rise phantom firing can achieve. The threshold solver uses these
 // as the actuator's authority limits.
 func (m Mechanism) Envelope(pm *power.Model) (floor, ceil float64) {
-	return pm.GatedFloorCurrent(m.FUs, m.DL1, m.IL1),
-		pm.PhantomCeilingCurrent(m.FUs, m.DL1, m.IL1)
+	return pm.GatedFloorCurrent(power.AllScopes, m.FUs, m.DL1, m.IL1),
+		pm.PhantomCeilingCurrent(power.AllScopes, m.FUs, m.DL1, m.IL1)
 }
 
 // Counting wraps a Responder and tallies how it is exercised — one plain

@@ -189,8 +189,8 @@ func (s *System) authority(r *railState, mech actuator.Mechanism) (floor, ceil f
 	if r.mask == power.AllScopes {
 		return s.responder.Envelope(s.Power)
 	}
-	floor = s.Power.ScopedGatedFloorCurrent(r.mask, mech.FUs, mech.DL1, mech.IL1)
-	ceil = s.Power.ScopedPhantomCeilingCurrent(r.mask, mech.FUs, mech.DL1, mech.IL1)
+	floor = s.Power.GatedFloorCurrent(r.mask, mech.FUs, mech.DL1, mech.IL1)
+	ceil = s.Power.PhantomCeilingCurrent(r.mask, mech.FUs, mech.DL1, mech.IL1)
 	return min(floor, r.iMax), max(ceil, r.iMin)
 }
 

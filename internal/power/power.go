@@ -427,23 +427,32 @@ func (m *Model) TotalEnergy() float64 { return m.totalEnergy }
 // Cycles returns how many cycles have been accounted.
 func (m *Model) Cycles() uint64 { return m.cycles }
 
-// MinCurrent returns the quiescent current: every unit idle under
-// conditional clock gating. This is the regulator's calibration point
-// (IFloor) and the floor the actuator can force current toward.
-func (m *Model) MinCurrent() float64 {
+// MinCurrent returns the quiescent current of the units in the given
+// scopes: every unit idle under conditional clock gating. At AllScopes
+// this is the regulator's calibration point (IFloor) and the floor the
+// actuator can force current toward. The clock tree belongs to uncore and
+// idles at its activity-tracking floor.
+func (m *Model) MinCurrent(mask ScopeMask) float64 {
 	var p float64
 	for u := Unit(1); u < NumUnits; u++ {
-		p += m.p.Peak[u] * m.p.IdleFraction
+		if mask.Has(scopeOf[u]) {
+			p += m.p.Peak[u] * m.p.IdleFraction
+		}
 	}
-	p += m.p.Peak[UnitClock] * (0.35 + 0.65*m.p.IdleFraction)
+	if mask.Has(ScopeUncore) {
+		p += m.p.Peak[UnitClock] * (0.35 + 0.65*m.p.IdleFraction)
+	}
 	return p / m.p.VNominal
 }
 
-// MaxCurrent returns the absolute worst-case current: every unit at peak.
-func (m *Model) MaxCurrent() float64 {
+// MaxCurrent returns the worst-case current of the units in the given
+// scopes: every unit at peak.
+func (m *Model) MaxCurrent(mask ScopeMask) float64 {
 	var p float64
 	for u := Unit(0); u < NumUnits; u++ {
-		p += m.p.Peak[u]
+		if mask.Has(scopeOf[u]) {
+			p += m.p.Peak[u]
+		}
 	}
 	return p / m.p.VNominal
 }
@@ -503,35 +512,47 @@ func classify(u Unit, fus, dl1, il1 bool) gatingScope {
 	return scopeRunning
 }
 
-// GatedFloorCurrent returns the current the actuator can force within the
-// control-relevant horizon (a fraction of the resonant period) by
-// hard-gating the given unit groups. Crucially, units outside the gated
-// scope keep running at a sustained activity level — this is why FU-only
-// actuation "does not have the necessary leverage to reshape voltage
-// quickly" (Section 5.2): the front end and caches carry on.
-func (m *Model) GatedFloorCurrent(fus, dl1, il1 bool) float64 {
-	var p, sumPeak float64
+// GatedFloorCurrent returns the current the units in the given scopes
+// draw when the actuator hard-gates the given unit groups, within the
+// control-relevant horizon (a fraction of the resonant period).
+// Crucially, units outside the gated groups keep running at a sustained
+// activity level — this is why FU-only actuation "does not have the
+// necessary leverage to reshape voltage quickly" (Section 5.2): the front
+// end and caches carry on. The clock term uses the whole-chip activity
+// fraction — the clock tree spans the die regardless of which rail feeds
+// it — so the floors of a scope partition sum to the AllScopes floor.
+func (m *Model) GatedFloorCurrent(mask ScopeMask, fus, dl1, il1 bool) float64 {
+	var p, sumPeak, sel float64
 	for u := Unit(1); u < NumUnits; u++ {
+		var f float64
 		switch classify(u, fus, dl1, il1) {
 		case scopeGated:
-			p += m.p.Peak[u] * m.p.GatedFraction
+			f = m.p.GatedFraction
 		case scopeStalled:
-			p += m.p.Peak[u] * m.p.IdleFraction
+			f = m.p.IdleFraction
 		default:
-			p += m.p.Peak[u] * sustainedFraction
+			f = sustainedFraction
 		}
+		pu := m.p.Peak[u] * f
+		p += pu
 		sumPeak += m.p.Peak[u]
+		if mask.Has(scopeOf[u]) {
+			sel += pu
+		}
 	}
-	p += m.p.Peak[UnitClock] * (0.35 + 0.65*(p/sumPeak))
-	return p / m.p.VNominal
+	if mask.Has(ScopeUncore) {
+		sel += m.p.Peak[UnitClock] * (0.35 + 0.65*(p/sumPeak))
+	}
+	return sel / m.p.VNominal
 }
 
-// PhantomCeilingCurrent returns the current reached when the actuator
-// phantom-fires the given groups. Phantom firing happens in voltage-high
-// states, which follow low activity, so the un-fired remainder of the
-// chip is charged at the idle floor.
-func (m *Model) PhantomCeilingCurrent(fus, dl1, il1 bool) float64 {
-	var p, sumPeak float64
+// PhantomCeilingCurrent returns the current the units in the given scopes
+// draw when the actuator phantom-fires the given groups. Phantom firing
+// happens in voltage-high states, which follow low activity, so the
+// un-fired remainder of the chip is charged at the idle floor. The clock
+// term again tracks whole-chip activity.
+func (m *Model) PhantomCeilingCurrent(mask ScopeMask, fus, dl1, il1 bool) float64 {
+	var p, sumPeak, sel float64
 	for u := Unit(1); u < NumUnits; u++ {
 		full := false
 		switch u {
@@ -542,13 +563,18 @@ func (m *Model) PhantomCeilingCurrent(fus, dl1, il1 bool) float64 {
 		case UnitL1I, UnitFetch, UnitBpred:
 			full = il1
 		}
+		pu := m.p.Peak[u] * m.p.IdleFraction
 		if full {
-			p += m.p.Peak[u]
-		} else {
-			p += m.p.Peak[u] * m.p.IdleFraction
+			pu = m.p.Peak[u]
 		}
+		p += pu
 		sumPeak += m.p.Peak[u]
+		if mask.Has(scopeOf[u]) {
+			sel += pu
+		}
 	}
-	p += m.p.Peak[UnitClock] * (0.35 + 0.65*(p/sumPeak))
-	return p / m.p.VNominal
+	if mask.Has(ScopeUncore) {
+		sel += m.p.Peak[UnitClock] * (0.35 + 0.65*(p/sumPeak))
+	}
+	return sel / m.p.VNominal
 }

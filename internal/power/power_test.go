@@ -26,7 +26,7 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestEnvelopeOrdering(t *testing.T) {
 	m := newM()
-	min, max := m.MinCurrent(), m.MaxCurrent()
+	min, max := m.MinCurrent(AllScopes), m.MaxCurrent(AllScopes)
 	if !(0 < min && min < max) {
 		t.Fatalf("0 < min (%g) < max (%g) violated", min, max)
 	}
@@ -42,8 +42,8 @@ func TestEnvelopeOrdering(t *testing.T) {
 func TestIdleCycleNearMinCurrent(t *testing.T) {
 	m := newM()
 	r := m.Step(&cpu.Activity{}, Phantom{})
-	if d := math.Abs(r.Current - m.MinCurrent()); d > 1.0 {
-		t.Errorf("idle cycle current %g vs MinCurrent %g", r.Current, m.MinCurrent())
+	if d := math.Abs(r.Current - m.MinCurrent(AllScopes)); d > 1.0 {
+		t.Errorf("idle cycle current %g vs MinCurrent %g", r.Current, m.MinCurrent(AllScopes))
 	}
 }
 
@@ -78,11 +78,11 @@ func TestBusyCycleApproachesMax(t *testing.T) {
 	for i := 0; i < 30; i++ { // let spreading saturate
 		r = m.Step(fullActivity(cfg), Phantom{})
 	}
-	if r.Current < 0.85*m.MaxCurrent() {
-		t.Errorf("fully busy current %g, want near max %g", r.Current, m.MaxCurrent())
+	if r.Current < 0.85*m.MaxCurrent(AllScopes) {
+		t.Errorf("fully busy current %g, want near max %g", r.Current, m.MaxCurrent(AllScopes))
 	}
-	if r.Current > m.MaxCurrent()*1.0001 {
-		t.Errorf("current %g exceeds max %g", r.Current, m.MaxCurrent())
+	if r.Current > m.MaxCurrent(AllScopes)*1.0001 {
+		t.Errorf("current %g exceeds max %g", r.Current, m.MaxCurrent(AllScopes))
 	}
 }
 
@@ -162,27 +162,27 @@ func TestGatedFloorAndPhantomCeilingOrdering(t *testing.T) {
 	// Wider gating scope digs a deeper floor. Narrow scopes leave the rest
 	// of the chip running, so their floors sit ABOVE the all-idle current —
 	// the Section 5.2 leverage argument.
-	fu := m.GatedFloorCurrent(true, false, false)
-	fud := m.GatedFloorCurrent(true, true, false)
-	fudi := m.GatedFloorCurrent(true, true, true)
+	fu := m.GatedFloorCurrent(AllScopes, true, false, false)
+	fud := m.GatedFloorCurrent(AllScopes, true, true, false)
+	fudi := m.GatedFloorCurrent(AllScopes, true, true, true)
 	if !(fudi < fud && fud < fu) {
 		t.Errorf("floors not ordered: fu=%g fud=%g fudi=%g", fu, fud, fudi)
 	}
-	if fu < m.MinCurrent() {
-		t.Errorf("FU-only floor %g should exceed all-idle %g (front end keeps running)", fu, m.MinCurrent())
+	if fu < m.MinCurrent(AllScopes) {
+		t.Errorf("FU-only floor %g should exceed all-idle %g (front end keeps running)", fu, m.MinCurrent(AllScopes))
 	}
-	if fudi > m.MinCurrent() {
-		t.Errorf("full-scope floor %g should undercut all-idle %g", fudi, m.MinCurrent())
+	if fudi > m.MinCurrent(AllScopes) {
+		t.Errorf("full-scope floor %g should undercut all-idle %g", fudi, m.MinCurrent(AllScopes))
 	}
 	// Wider phantom scope reaches a higher ceiling.
-	pfu := m.PhantomCeilingCurrent(true, false, false)
-	pfud := m.PhantomCeilingCurrent(true, true, false)
-	pfudi := m.PhantomCeilingCurrent(true, true, true)
-	if !(pfudi > pfud && pfud > pfu && pfu > m.MinCurrent()) {
-		t.Errorf("ceilings not ordered: %g %g %g idle=%g", pfu, pfud, pfudi, m.MinCurrent())
+	pfu := m.PhantomCeilingCurrent(AllScopes, true, false, false)
+	pfud := m.PhantomCeilingCurrent(AllScopes, true, true, false)
+	pfudi := m.PhantomCeilingCurrent(AllScopes, true, true, true)
+	if !(pfudi > pfud && pfud > pfu && pfu > m.MinCurrent(AllScopes)) {
+		t.Errorf("ceilings not ordered: %g %g %g idle=%g", pfu, pfud, pfudi, m.MinCurrent(AllScopes))
 	}
-	if pfudi >= m.MaxCurrent() {
-		t.Errorf("phantom ceiling %g should stay below absolute max %g", pfudi, m.MaxCurrent())
+	if pfudi >= m.MaxCurrent(AllScopes) {
+		t.Errorf("phantom ceiling %g should stay below absolute max %g", pfudi, m.MaxCurrent(AllScopes))
 	}
 }
 

@@ -97,96 +97,3 @@ func (m *Model) ScopeCurrents(r *CycleReport, dst []float64) {
 		dst[s] *= inv
 	}
 }
-
-// ScopedMinCurrent returns the quiescent (cc3-idle) current drawn by the
-// units in the given scopes — the per-rail analogue of MinCurrent. The
-// clock tree belongs to uncore and idles at its activity-tracking floor.
-// Summed over the full partition this reproduces MinCurrent (same factors,
-// possibly different float association, so compare with a tolerance).
-func (m *Model) ScopedMinCurrent(mask ScopeMask) float64 {
-	var sel float64
-	for u := Unit(1); u < NumUnits; u++ {
-		if mask.Has(scopeOf[u]) {
-			sel += m.p.Peak[u] * m.p.IdleFraction
-		}
-	}
-	if mask.Has(ScopeUncore) {
-		sel += m.p.Peak[UnitClock] * (0.35 + 0.65*m.p.IdleFraction)
-	}
-	return sel / m.p.VNominal
-}
-
-// ScopedMaxCurrent returns the all-units-at-peak current of the given
-// scopes — the per-rail analogue of MaxCurrent.
-func (m *Model) ScopedMaxCurrent(mask ScopeMask) float64 {
-	var sel float64
-	for u := Unit(0); u < NumUnits; u++ {
-		if mask.Has(scopeOf[u]) {
-			sel += m.p.Peak[u]
-		}
-	}
-	return sel / m.p.VNominal
-}
-
-// ScopedGatedFloorCurrent restricts GatedFloorCurrent to the units of the
-// given scopes: the current the actuator can force on one rail by
-// hard-gating the given groups, while un-gated units keep running at the
-// sustained level. The clock term uses the whole-chip activity fraction —
-// the clock tree spans the die regardless of which rail feeds it — so the
-// scoped floors summed over the full partition equal GatedFloorCurrent.
-func (m *Model) ScopedGatedFloorCurrent(mask ScopeMask, fus, dl1, il1 bool) float64 {
-	var p, sumPeak, sel float64
-	for u := Unit(1); u < NumUnits; u++ {
-		var f float64
-		switch classify(u, fus, dl1, il1) {
-		case scopeGated:
-			f = m.p.GatedFraction
-		case scopeStalled:
-			f = m.p.IdleFraction
-		default:
-			f = sustainedFraction
-		}
-		pu := m.p.Peak[u] * f
-		p += pu
-		sumPeak += m.p.Peak[u]
-		if mask.Has(scopeOf[u]) {
-			sel += pu
-		}
-	}
-	if mask.Has(ScopeUncore) {
-		sel += m.p.Peak[UnitClock] * (0.35 + 0.65*(p/sumPeak))
-	}
-	return sel / m.p.VNominal
-}
-
-// ScopedPhantomCeilingCurrent restricts PhantomCeilingCurrent to the units
-// of the given scopes: the current one rail reaches when the actuator
-// phantom-fires the given groups while the remainder idles. The clock term
-// again tracks whole-chip activity.
-func (m *Model) ScopedPhantomCeilingCurrent(mask ScopeMask, fus, dl1, il1 bool) float64 {
-	var p, sumPeak, sel float64
-	for u := Unit(1); u < NumUnits; u++ {
-		full := false
-		switch u {
-		case UnitIntALU, UnitIntMult, UnitFPALU, UnitFPMult:
-			full = fus
-		case UnitL1D:
-			full = dl1
-		case UnitL1I, UnitFetch, UnitBpred:
-			full = il1
-		}
-		pu := m.p.Peak[u] * m.p.IdleFraction
-		if full {
-			pu = m.p.Peak[u]
-		}
-		p += pu
-		sumPeak += m.p.Peak[u]
-		if mask.Has(scopeOf[u]) {
-			sel += pu
-		}
-	}
-	if mask.Has(ScopeUncore) {
-		sel += m.p.Peak[UnitClock] * (0.35 + 0.65*(p/sumPeak))
-	}
-	return sel / m.p.VNominal
-}

@@ -73,7 +73,7 @@ func TestScopeCurrentsPartitionCycle(t *testing.T) {
 }
 
 // TestScopedEnvelopesPartition: per-scope min/max/floor/ceiling summed
-// over the full partition must reproduce the whole-chip figures.
+// over the single scopes must reproduce the AllScopes figures.
 func TestScopedEnvelopesPartition(t *testing.T) {
 	m := New(Params{}, cpu.DefaultConfig())
 	sumOver := func(f func(ScopeMask) float64) float64 {
@@ -89,22 +89,18 @@ func TestScopedEnvelopesPartition(t *testing.T) {
 			t.Errorf("%s: partition sum %.15g, whole-chip %.15g", name, got, want)
 		}
 	}
-	close("min", sumOver(m.ScopedMinCurrent), m.MinCurrent())
-	close("max", sumOver(m.ScopedMaxCurrent), m.MaxCurrent())
+	close("min", sumOver(m.MinCurrent), m.MinCurrent(AllScopes))
+	close("max", sumOver(m.MaxCurrent), m.MaxCurrent(AllScopes))
 	for _, gate := range []struct{ fus, dl1, il1 bool }{
 		{true, false, false}, {true, true, false}, {true, true, true},
 	} {
 		close("floor", sumOver(func(mk ScopeMask) float64 {
-			return m.ScopedGatedFloorCurrent(mk, gate.fus, gate.dl1, gate.il1)
-		}), m.GatedFloorCurrent(gate.fus, gate.dl1, gate.il1))
+			return m.GatedFloorCurrent(mk, gate.fus, gate.dl1, gate.il1)
+		}), m.GatedFloorCurrent(AllScopes, gate.fus, gate.dl1, gate.il1))
 		close("ceil", sumOver(func(mk ScopeMask) float64 {
-			return m.ScopedPhantomCeilingCurrent(mk, gate.fus, gate.dl1, gate.il1)
-		}), m.PhantomCeilingCurrent(gate.fus, gate.dl1, gate.il1))
+			return m.PhantomCeilingCurrent(mk, gate.fus, gate.dl1, gate.il1)
+		}), m.PhantomCeilingCurrent(AllScopes, gate.fus, gate.dl1, gate.il1))
 	}
-	// AllScopes is the degenerate single-rail partition in one mask.
-	close("all-min", m.ScopedMinCurrent(AllScopes), m.MinCurrent())
-	close("all-floor", m.ScopedGatedFloorCurrent(AllScopes, true, true, true),
-		m.GatedFloorCurrent(true, true, true))
 }
 
 // TestScopedGatingAuthority: gating FUs must drop the FU rail's floor far
@@ -112,19 +108,19 @@ func TestScopedEnvelopesPartition(t *testing.T) {
 // idle — the per-rail restatement of Section 5.2's leverage argument.
 func TestScopedGatingAuthority(t *testing.T) {
 	m := New(Params{}, cpu.DefaultConfig())
-	fuFloor := m.ScopedGatedFloorCurrent(ScopeFU.Mask(), true, false, false)
-	fuRun := m.ScopedGatedFloorCurrent(ScopeFU.Mask(), false, false, true)
+	fuFloor := m.GatedFloorCurrent(ScopeFU.Mask(), true, false, false)
+	fuRun := m.GatedFloorCurrent(ScopeFU.Mask(), false, false, true)
 	if fuFloor >= fuRun/2 {
 		t.Errorf("gating FUs should collapse the FU rail: gated %.3g vs running %.3g", fuFloor, fuRun)
 	}
-	uncore := m.ScopedGatedFloorCurrent(ScopeUncore.Mask(), true, false, false)
-	if uncore <= m.ScopedMinCurrent(ScopeUncore.Mask()) {
+	uncore := m.GatedFloorCurrent(ScopeUncore.Mask(), true, false, false)
+	if uncore <= m.MinCurrent(ScopeUncore.Mask()) {
 		t.Errorf("uncore keeps running under FU gating: floor %.3g <= idle %.3g",
-			uncore, m.ScopedMinCurrent(ScopeUncore.Mask()))
+			uncore, m.MinCurrent(ScopeUncore.Mask()))
 	}
 	// Phantom-firing a scope must raise that rail's ceiling above idle.
-	dl1Ceil := m.ScopedPhantomCeilingCurrent(ScopeDL1.Mask(), false, true, false)
-	if dl1Ceil <= m.ScopedMinCurrent(ScopeDL1.Mask()) {
+	dl1Ceil := m.PhantomCeilingCurrent(ScopeDL1.Mask(), false, true, false)
+	if dl1Ceil <= m.MinCurrent(ScopeDL1.Mask()) {
 		t.Errorf("phantom DL1 ceiling %.3g not above idle", dl1Ceil)
 	}
 }
