@@ -93,8 +93,8 @@ func runMachine(w *bytes.Buffer, name string, prog isa.Program, driven bool) err
 // core and the power model, without the PDN — bit for bit on every
 // benchmark profile and the stressmark, free-running and under a fixed
 // gating/phantom/flush schedule that reaches the gated paths of issue,
-// fetch and commit. Regenerate with `go test -run TestMachineGolden
-// -update ./internal/core` only after a deliberate change to the
+// fetch and commit. Regenerate with `go test ./internal/core -run
+// TestMachineGolden -update` only after a deliberate change to the
 // machine's results.
 func TestMachineGolden(t *testing.T) {
 	type prog struct {

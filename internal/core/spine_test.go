@@ -115,8 +115,8 @@ func writeSpineResult(w *bytes.Buffer, name string, r *Result, trips [][3]uint64
 }
 
 // TestSpineGolden pins the closed loop bit for bit on the configurations
-// of spineCases. Regenerate with `go test -run TestSpineGolden -update
-// ./internal/core` only after a deliberate change to the engine's
+// of spineCases. Regenerate with `go test ./internal/core -run
+// TestSpineGolden -update` only after a deliberate change to the engine's
 // results.
 func TestSpineGolden(t *testing.T) {
 	ResetTraceCache()
