@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
 	"didt/internal/actuator"
+	"didt/internal/sim"
 	"didt/internal/spec"
 	"didt/internal/telemetry"
 	"didt/internal/workload"
@@ -15,7 +17,9 @@ import (
 // FuzzSpecNewSystem feeds arbitrary JSON down the path every API boundary
 // takes: decode into a spec.RunSpec, Resolve (defaults, then Validate),
 // then core.NewSystem on every spec that resolves. Neither step may panic:
-// a spec that Validate accepts either builds or returns an error. The
+// a spec that Validate accepts either builds or returns an error, and that
+// error is not a *sim.PanicError (the engine caches contain a panic in
+// their computations, the threshold solve among them, as one). The
 // committed corpus holds the resolved default spec
 // (internal/spec/testdata/default_spec.json), a sparse one, a controlled
 // one, a three-rail spec with coupling, per-rail sensing and DVS, and
@@ -36,7 +40,11 @@ func FuzzSpecNewSystem(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if sys, err := NewSystem(prog, Options{Spec: r}); err == nil {
+		sys, err := NewSystem(prog, Options{Spec: r})
+		if pe := (*sim.PanicError)(nil); errors.As(err, &pe) {
+			t.Fatalf("NewSystem panicked: %v\n%s", pe.Value, pe.Stack)
+		}
+		if err == nil {
 			sys.Close()
 		}
 	})

@@ -2,9 +2,12 @@ package pdn
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"didt/internal/sim"
 )
 
 // checkModal steps one simulator through StepModal in blocks of the given
@@ -176,7 +179,9 @@ func TestGraphStepModalMatchesStepBlock(t *testing.T) {
 }
 
 // FuzzModalMatchesExact draws a network and a current trace and requires
-// that either the network declines the modal form, or every estimate lies
+// that New does not panic (its kernel cache contains a panic in sampling
+// as a *sim.PanicError), and that either the network declines the modal
+// form, or every estimate lies
 // within eps/modalSafety of the exact voltage (and Exact is == to Step).
 // The committed corpus runs with the unit tests; `go test -fuzz
 // FuzzModalMatchesExact ./internal/pdn` explores further.
@@ -199,6 +204,9 @@ func FuzzModalMatchesExact(f *testing.F) {
 			t.Skip()
 		}
 		n, err := New(p)
+		if pe := (*sim.PanicError)(nil); errors.As(err, &pe) {
+			t.Fatalf("New panicked: %v\n%s", pe.Value, pe.Stack)
+		}
 		if err != nil {
 			t.Skip()
 		}
