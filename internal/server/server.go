@@ -137,9 +137,12 @@ type Server struct {
 
 	// Test hooks, nil in production: testRunStarted receives one value
 	// when a request passes admission and starts running; testRunGate,
-	// when non-nil, blocks the running request until it is closed.
-	testRunStarted chan<- struct{}
-	testRunGate    <-chan struct{}
+	// when non-nil, blocks the running request until it is closed;
+	// testSimulatePanic, when non-nil, is the value a simulate job
+	// panics with in place of running.
+	testRunStarted    chan<- struct{}
+	testRunGate       <-chan struct{}
+	testSimulatePanic any
 }
 
 // New assembles a server. It does not listen; wire Handler() into an
@@ -396,6 +399,19 @@ func writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
+// logPanic records a contained engine panic's value and stack in the
+// server log. The client's error carries the value alone: the stack names
+// the server's source files and goroutine state.
+func (s *Server) logPanic(ctx context.Context, err error) {
+	var pe *sim.PanicError
+	if l := s.cfg.Logger; l != nil && errors.As(err, &pe) {
+		l.LogAttrs(ctx, slog.LevelError, "engine panic",
+			slog.String("panic", fmt.Sprint(pe.Value)),
+			slog.String("stack", string(pe.Stack)),
+			slog.String("trace_id", telemetry.TraceIDFromContext(ctx)))
+	}
+}
+
 // logAdmission emits one app-level record for a rejected or drained
 // request; the access log then records the response itself.
 func (s *Server) logAdmission(r *http.Request, reason string) {
@@ -602,6 +618,7 @@ func (s *Server) runSweep(ctx context.Context, cfg experiments.Config, ids []str
 			`didtd.sweep.experiment_duration_ms{experiment="`+id+`"}`,
 			0, 300_000, 60).Observe(durMS)
 		if err != nil {
+			s.logPanic(ectx, err)
 			return nil, err
 		}
 		stream.experimentEvent(id, "done", i, len(ids), durMS)
@@ -732,6 +749,9 @@ func (s *Server) simulateBody(ctx context.Context, resolved spec.RunSpec, progra
 	// Run through the sweep engine so the request context is honoured at
 	// the job boundary (a single simulation is a one-job sweep).
 	results, err := sim.Map(ctx, 1, 1, func(context.Context, int) (*core.Result, error) {
+		if s.testSimulatePanic != nil {
+			panic(s.testSimulatePanic)
+		}
 		sys, err := core.NewSystem(program, opts)
 		if err != nil {
 			return nil, err
@@ -740,6 +760,7 @@ func (s *Server) simulateBody(ctx context.Context, resolved spec.RunSpec, progra
 		return sys.Run()
 	})
 	if err != nil {
+		s.logPanic(ctx, err)
 		return nil, err
 	}
 	res := results[0]

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"didt/internal/experiments"
 	"didt/internal/sim"
+	"didt/internal/spec"
 	"didt/internal/telemetry"
 )
 
@@ -378,6 +380,62 @@ func TestServerSimulate(t *testing.T) {
 		if code, body := postJSON(t, ts.URL+"/v1/simulate", tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", tc.name, code, body)
 		}
+	}
+}
+
+// lockedBuffer is a log sink safe to read while handlers still write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServerSimulatePanic: a simulation that panics answers 500, and a
+// batch entry that panics an error record, each naming the panic value
+// but carrying no stack frames — the stack goes to the server log. The
+// panicking flight is finished, not left open: the same request again
+// runs again (and panics again) instead of waiting on a dead leader.
+func TestServerSimulatePanic(t *testing.T) {
+	logs := &lockedBuffer{}
+	s, ts := newTestServer(t, Config{MaxConcurrent: 2, Logger: slog.New(slog.NewJSONHandler(logs, nil))})
+	s.testSimulatePanic = "simulate exploded"
+
+	req := `{"workload":"stressmark","cycles":20000,"iterations":150}`
+	var bodies []string
+	for range 2 {
+		code, body := postJSON(t, ts.URL+"/v1/simulate", req)
+		if code != http.StatusInternalServerError || !strings.Contains(body, "panic: simulate exploded") {
+			t.Fatalf("panicking simulate: status %d, want 500 naming the panic: %s", code, body)
+		}
+		bodies = append(bodies, body)
+	}
+	batch, err := json.Marshal(BatchRequest{Specs: []spec.RunSpec{tinySpec()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := postJSON(t, ts.URL+"/v1/batch", string(batch))
+	if code != http.StatusOK || !strings.Contains(body, `"status":"error"`) || !strings.Contains(body, "panic: simulate exploded") {
+		t.Fatalf("panicking batch: status %d, want 200 with an error record naming the panic: %s", code, body)
+	}
+	bodies = append(bodies, body)
+	for _, b := range bodies {
+		if strings.Contains(b, "goroutine") || strings.Contains(b, ".go:") {
+			t.Errorf("response carries stack frames:\n%s", b)
+		}
+	}
+	if log := logs.String(); strings.Count(log, `"msg":"engine panic"`) != 3 || !strings.Contains(log, "simulateBody") {
+		t.Errorf("server log lacks the three panics with their stacks:\n%s", log)
 	}
 }
 

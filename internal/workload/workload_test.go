@@ -6,7 +6,21 @@ import (
 
 	"didt/internal/cpu"
 	"didt/internal/isa"
+	"didt/internal/sim"
 )
+
+// TestCachedProgramRaisesContainedPanic: a program cache whose generation
+// panicked hands back no nil program; the cache's *sim.PanicError is
+// raised again, for the nearest sim.Map to report.
+func TestCachedProgramRaisesContainedPanic(t *testing.T) {
+	pe := &sim.PanicError{Value: "generate exploded"}
+	defer func() {
+		if p := recover(); p != pe {
+			t.Fatalf("recovered %v, want the cache's *sim.PanicError", p)
+		}
+	}()
+	mustProgram(nil, pe)
+}
 
 func TestStressmarkBuildsAndValidates(t *testing.T) {
 	p := Stressmark(StressmarkParams{})
