@@ -79,10 +79,12 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 # baseline-and-grid studies, Table 2, Figure 10 and the rail sweep, bit
 # for bit); the machine half's golden (core + power model on every benchmark
 # and the stressmark, free-running and under a fixed gating/phantom/flush
-# schedule); the core's store queue against an age-ordered window walk on
-# every load of those runs; and the modal fuzz target's committed corpus.
+# schedule); the dead-cycle skip against the plain per-cycle machine loop
+# on those runs, every cycle's activity, current and per-unit power `==`;
+# the core's store queue against an age-ordered window walk on every load
+# of those runs; and the modal fuzz target's committed corpus.
 go test -race -count=1 \
-    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestMachineGolden|TestStoreQueueMatchesScan|TestLocalityGolden|TestStudiesGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
+    -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestRunMatchesStepwise|TestSpineGolden|TestMachineGolden|TestSkipDeadMatchesStepping|TestStoreQueueMatchesScan|TestLocalityGolden|TestStudiesGolden|TestThresholdsGolden|TestProbeEdgePlacement|FuzzModalMatchesExact' \
     ./internal/experiments ./internal/core ./internal/cpu ./internal/control ./internal/pdn
 
 # Modal fuzzing: random networks and current traces; every modal estimate
@@ -132,14 +134,14 @@ go test -race -count=1 \
 # its block form on one rail and on the coupled graph, the modal block
 # step that every engine run — open and closed loop — takes, the
 # eight-lane BatchSimulator that perfbench times, the threshold solver's
-# probe cycle loop, and the machine half: the core's StepInto and the
-# power model's StepInto) must stay allocation-free. A heap allocation per
-# call adds garbage-collector work to every simulated cycle; the kernels
-# themselves cost ~700 ns/cycle for the exact streaming step on the bench
-# host and ~15 ns/cycle for the modal step. The benchmarks run under
-# -benchmem and any "N allocs/op" with N > 0 fails.
+# probe cycle loop, and the machine half: the core's StepInto and SkipDead
+# and the power model's StepInto and Repeat) must stay allocation-free. A
+# heap allocation per call adds garbage-collector work to every simulated
+# cycle; the kernels themselves cost ~700 ns/cycle for the exact streaming
+# step on the bench host and ~15 ns/cycle for the modal step. The
+# benchmarks run under -benchmem and any "N allocs/op" with N > 0 fails.
 go test -run NONE \
-    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkStepModal$|BenchmarkBatchStep$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$|BenchmarkProbeViolations$|BenchmarkStepInto$' \
+    -bench 'BenchmarkStep$|BenchmarkStepBlock$|BenchmarkStepModal$|BenchmarkBatchStep$|BenchmarkGraphStep$|BenchmarkGraphStepBlock$|BenchmarkProbeViolations$|BenchmarkStepInto$|BenchmarkSkipDead$|BenchmarkRepeat$' \
     -benchtime 100x -benchmem ./internal/pdn ./internal/control ./internal/cpu ./internal/power | tee /tmp/didt_allocgate.txt
 ! grep -E ' [1-9][0-9]* allocs/op' /tmp/didt_allocgate.txt
 

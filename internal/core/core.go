@@ -140,6 +140,8 @@ type System struct {
 	replayed, resumed bool
 	replayCycles      uint64
 
+	skipped uint64 // dead machine cycles skipped (see skipDead)
+
 	// Block-driver scratch (see drive.go): each in-flight cycle's machine
 	// activity and whole-chip load current, reused so a step never zeroes
 	// a fresh copy.
@@ -294,9 +296,11 @@ func (s *System) StepCycle() CycleState {
 // and completion flag, with each rail's share of the current in railCur
 // (length len(s.rails)), all scaled by the DVS operating point when one is
 // active. Rails partition the delivery scopes, so a lone rail feeds the
-// whole chip and draws the whole current. The PDN convolution and
-// everything downstream of the voltage live in the driver's settle and
-// control halves.
+// whole chip and draws the whole current. A dead cycle after a dead one,
+// under the same gating and phantom, is skipped rather than stepped (see
+// skipDead); its activity and report are the last cycle's. The PDN
+// convolution and everything downstream of the voltage live in the
+// driver's settle and control halves.
 //
 //didt:hotpath
 func (s *System) machineStep(act *cpu.Activity, railCur []float64) (float64, bool) {
@@ -305,8 +309,14 @@ func (s *System) machineStep(act *cpu.Activity, railCur []float64) (float64, boo
 		s.CPU.Flush(s.CPU.Config().BranchPenalty)
 	}
 	s.CPU.SetGating(s.gating)
-	done := s.CPU.StepInto(act)
-	s.Power.StepInto(act, s.phantom, &s.rep)
+	done := false
+	if skipDead(s.CPU, s.Power, &s.rep, s.phantom, 1) == 1 {
+		s.CPU.DeadActivity(act)
+		s.skipped++
+	} else {
+		done = s.CPU.StepInto(act)
+		s.Power.StepInto(act, s.phantom, &s.rep)
+	}
 	scale := 1.0
 	if s.dvs != nil {
 		scale = s.dvs.CurrentScale()
@@ -327,6 +337,22 @@ func (s *System) machineStep(act *cpu.Activity, railCur []float64) (float64, boo
 		railCur[i] *= scale
 	}
 	return total, done
+}
+
+// skipDead advances the machine c, pm over the dead cycles that follow the
+// one just stepped into *r, at most limit of them, under the core's
+// gating and phantom ph, and returns how many it skipped: cpu.SkipDead
+// and the power model's Repeat, when the model is Quiet under ph. Each
+// skipped cycle's report is *r, bit for bit.
+//
+//didt:hotpath
+func skipDead(c *cpu.CPU, pm *power.Model, r *power.CycleReport, ph power.Phantom, limit uint64) uint64 {
+	if !pm.Quiet(ph) {
+		return 0
+	}
+	n := c.SkipDead(limit)
+	pm.Repeat(n, r)
+	return n
 }
 
 // emitCycle records this cycle's telemetry: per-cycle voltage and current
@@ -490,6 +516,7 @@ func (s *System) publishMetrics(r *Result) {
 	reg.Counter("cpu.gated_cycles_total").Add(int64(r.Stats.GatedCycles))
 	reg.Counter("pdn.modal_cycles_total").Add(int64(s.modalCycles))
 	reg.Counter("pdn.exact_evals_total").Add(int64(s.exactEvals))
+	reg.Counter("core.machine_skipped_cycles_total").Add(int64(s.skipped))
 	reg.Counter("core.replayed_runs_total").Add(boolCount(s.replayed))
 	reg.Counter("core.replay_resumed_total").Add(boolCount(s.resumed))
 	reg.Counter("core.replay_cycles_total").Add(int64(s.replayCycles))

@@ -100,6 +100,10 @@ func measureEnvelopeUncached(cfg cpu.Config, pp power.Params) (envelope, error) 
 		if done {
 			break
 		}
+		if i < warmup-1 {
+			// The warm-up records nothing, so its dead cycles are skipped.
+			i += int(skipDead(c, pm, &rep, power.Phantom{}, uint64(warmup-1-i)))
+		}
 	}
 	// The whole-chip envelope is computed exactly as before the scoped
 	// breakdown existed (same samples, same sort, same percentile) — the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"didt/internal/telemetry"
+	"didt/internal/workload"
 )
 
 // TestOpenLoopMatchesStreaming pins the replay contract: an uncontrolled
@@ -41,6 +42,61 @@ func TestOpenLoopMatchesStreaming(t *testing.T) {
 	}
 	if d := resultDiff(fast, slow); d != "" {
 		t.Fatalf("replay differs from the streaming path: %s", d)
+	}
+}
+
+// TestOpenLoopSkipsDeadCycles: an open-loop mcf run on a cold trace
+// cache steps its machine trace skipping dead cycles in bulk, counts them
+// in core.machine_skipped_cycles_total, and still equals the same run on
+// the per-cycle streaming path, which skips one cycle at a time, on every
+// Result field.
+func TestOpenLoopSkipsDeadCycles(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	prof, err := workload.ProfileByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := workload.GenerateCached(prof)
+	k := knobs{ImpedancePct: 2, MaxCycles: 60000, WarmupCycles: 10000}
+	skipped := telemetry.Default().Counter("core.machine_skipped_cycles_total")
+
+	sys, err := NewSystem(prog, k.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	before := skipped.Value()
+	got, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.replayed {
+		t.Fatal("open-loop run did not replay")
+	}
+	n := skipped.Value() - before
+	if n <= 0 || uint64(n) != sys.skipped {
+		t.Fatalf("core.machine_skipped_cycles_total grew by %d, run skipped %d; want > 0", n, sys.skipped)
+	}
+	t.Logf("mcf skipped %d of %d cycles", n, got.Cycles)
+
+	opts := k.options()
+	opts.Telemetry = telemetry.NewTracer(1 << 10)
+	opts.TelemetryName = "stream"
+	ref, err := NewSystem(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.replayed {
+		t.Fatal("traced run unexpectedly replayed")
+	}
+	if d := resultDiff(got, want); d != "" {
+		t.Fatalf("skipping run differs from the streaming path: %s", d)
 	}
 }
 

@@ -19,6 +19,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"didt/internal/bpred"
 	"didt/internal/isa"
@@ -130,6 +131,7 @@ type CPU struct {
 	ready []int32 // ready-entry ring, kept in age order
 
 	calendar [calBuckets][]int32
+	calBusy  [calBuckets / 64]uint64 // bit b set: calendar[b] is non-empty
 
 	fuBusy [numFUGroups][]uint64 // per-unit busy-until cycle
 
@@ -151,6 +153,7 @@ type CPU struct {
 	cycle      uint64
 	idleStreak uint64 // consecutive no-progress cycles (deadlock guard)
 	wedgeAfter uint64 // idleStreak beyond which the core is wedged
+	lastDead   bool   // the last cycle was dead, under the current gating (see SkipDead)
 
 	stats Stats
 	err   error
@@ -222,6 +225,9 @@ func (c *CPU) Config() Config { return c.cfg }
 
 // SetGating installs the actuator's gating decision for subsequent cycles.
 func (c *CPU) SetGating(g Gating) {
+	if g != c.gating {
+		c.lastDead = false // the next cycle's Activity reports the new gating
+	}
 	c.gating = g
 	c.Mem.DL1Gated = g.DL1
 	c.Mem.IL1Gated = g.IL1
@@ -325,12 +331,14 @@ func (c *CPU) StepInto(act *Activity) bool {
 	if !c.done && act.Completed == 0 && act.Committed == 0 && act.Issued == 0 &&
 		act.Dispatched == 0 && act.Fetched == 0 {
 		c.idleStreak++
+		c.lastDead = act.ICacheAccess == 0
 		if c.idleStreak > c.wedgeAfter {
 			c.err = fmt.Errorf("cpu: pipeline wedged at cycle %d (pc=%d, ruu=%d)", c.cycle, c.fetchPC, c.count) //didt:allow hotpath -- terminal wedge diagnostic, reached at most once per run
 			c.done = true
 		}
 	} else {
 		c.idleStreak = 0
+		c.lastDead = false
 	}
 
 	if c.count == 0 && (c.fetchHalted || c.fetchBlocked) && c.fqLen == 0 && c.haltSeen {
@@ -342,6 +350,73 @@ func (c *CPU) StepInto(act *Activity) bool {
 		c.done = true
 	}
 	return c.done
+}
+
+// SkipDead advances the core over the dead cycles that follow a dead one,
+// at most limit of them, in O(1), and returns how many it skipped. A dead
+// cycle fetches, dispatches, issues, completes and commits nothing and
+// touches no cache: the core only waits, mostly out a memory miss. The
+// last StepInto must have been dead, with the gating unchanged since, and
+// the core must stay dead: nothing ready to issue, an RUU head that has
+// not completed, dispatch blocked, and the front end idle or waiting on
+// fetchReadyAt. Then nothing changes before the next non-empty completion
+// bucket or fetchReadyAt, every skipped cycle's Activity equals the last
+// one's, and SkipDead advances what each such StepInto would: the cycle,
+// the idle streak and the stall counters. It stops short of the cycle on
+// which the wedge guard fires, so that cycle is stepped as before.
+//
+//didt:hotpath
+func (c *CPU) SkipDead(limit uint64) uint64 {
+	if !c.lastDead || c.done || len(c.ready) > 0 || c.count > 0 && c.ruu[c.head].state == stDone {
+		return 0
+	}
+	if !c.fetchBlocked && c.fqLen > 0 && c.count < c.cfg.RUUSize {
+		d := &c.dec[c.fetchQ[c.fqHead].pc]
+		if !(d.isLoad || d.isStore) || c.lsqCount < c.cfg.LSQSize {
+			return 0 // dispatch would proceed
+		}
+	}
+	n := min(limit, c.wedgeAfter-c.idleStreak)
+	if !c.fetchBlocked && !c.fetchHalted && !c.gating.IL1 && c.fqLen < len(c.fetchQ) {
+		if c.cycle >= c.fetchReadyAt {
+			return 0 // fetch would run
+		}
+		n = min(n, c.fetchReadyAt-c.cycle)
+	}
+	n = c.calendarGap(n)
+	c.cycle += n
+	c.idleStreak += n
+	c.stats.Cycles += n
+	c.stats.IssueStallCycles += n
+	c.stats.FetchStallCycles += n
+	if c.count > 0 {
+		c.stats.CommitStallCycles += n
+	}
+	if c.gating.FUs || c.gating.DL1 || c.gating.IL1 {
+		c.stats.GatedCycles += n
+	}
+	return n
+}
+
+// DeadActivity writes into *act the Activity of a dead cycle under the
+// current gating: the one each cycle SkipDead skips reports.
+func (c *CPU) DeadActivity(act *Activity) {
+	*act = Activity{RUUOccupancy: c.count, LSQOccupancy: c.lsqCount}
+	act.FUsGated, act.DL1Gated, act.IL1Gated = c.gating.FUs, c.gating.DL1, c.gating.IL1
+}
+
+// calendarGap returns the number of cycles, at most limit, from the
+// current one to the first whose completion bucket is non-empty.
+func (c *CPU) calendarGap(limit uint64) uint64 {
+	p := c.cycle % calBuckets
+	for d := uint64(0); d < limit && d < calBuckets; {
+		b := (p + d) % calBuckets
+		if w := c.calBusy[b/64] >> (b % 64); w != 0 {
+			return min(d+uint64(bits.TrailingZeros64(w)), limit)
+		}
+		d += 64 - b%64
+	}
+	return limit
 }
 
 func (c *CPU) writeback(act *Activity) {
@@ -381,6 +456,8 @@ func (c *CPU) writeback(act *Activity) {
 		}
 	}
 	*bucket = (*bucket)[:0]
+	b := c.cycle % calBuckets
+	c.calBusy[b/64] &^= 1 << (b % 64)
 }
 
 func (c *CPU) resolveBranch(e *entry) {
@@ -541,8 +618,10 @@ func (c *CPU) tryIssue(idx int32, e *entry, act *Activity) bool {
 		lat = 1
 	}
 	e.doneAt = c.cycle + uint64(lat)
-	slot := &c.calendar[e.doneAt%calBuckets]
+	b := e.doneAt % calBuckets
+	slot := &c.calendar[b]
 	*slot = append(*slot, idx)
+	c.calBusy[b/64] |= 1 << (b % 64)
 	if dcache {
 		act.DCacheAccess++
 	}

@@ -566,3 +566,29 @@ func BenchmarkStepInto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSkipDead times SkipDead skipping one dead cycle: a core whose
+// fetch is gated from its first cycle only waits, until its wedge guard
+// would fire, so a fresh core replaces it then.
+func BenchmarkSkipDead(b *testing.B) {
+	waiting := func() *CPU {
+		c, err := New(Config{}, workload.Stressmark(workload.StressmarkParams{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.SetGating(Gating{IL1: true})
+		var act Activity
+		c.StepInto(&act)
+		return c
+	}
+	c := waiting()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.SkipDead(1) == 0 {
+			b.StopTimer()
+			c = waiting()
+			b.StartTimer()
+		}
+	}
+}

@@ -158,6 +158,12 @@ type Model struct {
 	lat    [isa.NumClasses]int
 	pos    int
 
+	// quietFrom is the first cycle from which every spreading ring is
+	// empty: no issue so far spreads into it. ph is the phantom the last
+	// StepInto saw.
+	quietFrom uint64
+	ph        Phantom
+
 	t *unitTables // read only; shared by models of one configuration
 
 	// sumPeak is the peak power of units 1..NumUnits-1 accumulated in
@@ -359,6 +365,7 @@ func (m *Model) StepInto(act *cpu.Activity, ph Phantom, r *CycleReport) {
 		if n == 0 {
 			continue
 		}
+		m.quietFrom = max(m.quietFrom, m.cycles+uint64(m.lat[cl]))
 		ring := &m.spread[cl]
 		for k, idx := 0, m.pos; k < m.lat[cl]; k, idx = k+1, (idx+1)&spreadMask {
 			ring[idx] += n
@@ -413,12 +420,35 @@ func (m *Model) StepInto(act *cpu.Activity, ph Phantom, r *CycleReport) {
 
 	m.totalEnergy += total / m.p.ClockHz
 	m.cycles++
+	m.ph = ph
 
 	// Advance the spreading calendar.
 	for cl := range m.spread {
 		m.spread[cl][pos] = 0
 	}
 	m.pos = (pos + 1) & spreadMask
+}
+
+// Quiet reports whether the last StepInto ran under phantom ph and read
+// empty spreading rings. The rings then stay empty until the next issue,
+// so a StepInto of the same activity under ph would write the same report
+// again.
+func (m *Model) Quiet(ph Phantom) bool { return ph == m.ph && m.cycles > m.quietFrom }
+
+// Repeat accounts n more cycles of the activity and phantom the last
+// StepInto saw, whose report *r still holds. It requires Quiet under that
+// phantom, so each of those cycles would write *r again. It adds each
+// cycle's energy on its own, in cycle order, so TotalEnergy's bits are
+// those of n StepInto calls.
+//
+//didt:hotpath
+func (m *Model) Repeat(n uint64, r *CycleReport) {
+	e := r.Power / m.p.ClockHz
+	for range n {
+		m.totalEnergy += e
+	}
+	m.cycles += n
+	m.pos = int((uint64(m.pos) + n) & spreadMask)
 }
 
 // TotalEnergy returns the accumulated energy in joules.

@@ -251,3 +251,20 @@ func BenchmarkStepInto(b *testing.B) {
 		m.StepInto(&acts[i&(len(acts)-1)], Phantom{}, &r)
 	}
 }
+
+// BenchmarkRepeat times Repeat accounting one more cycle of an idle
+// machine's report.
+func BenchmarkRepeat(b *testing.B) {
+	m := New(Params{}, cpu.DefaultConfig())
+	var act cpu.Activity
+	var r CycleReport
+	m.StepInto(&act, Phantom{}, &r)
+	if !m.Quiet(Phantom{}) {
+		b.Fatal("an idle cycle left the spreading rings busy")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Repeat(1, &r)
+	}
+}
