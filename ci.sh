@@ -101,17 +101,19 @@ go test -run NONE -fuzz FuzzDecodeEntry -fuzztime=10s ./internal/store
 # Spec-path fuzzing: arbitrary JSON decoded into a run spec, resolved
 # (defaults, then Validate) and, when it resolves, built by core.NewSystem;
 # neither step may panic. The committed corpus seeds it with the default,
-# a sparse, a controlled and a three-rail spec, plus specs that Validate
+# a sparse and a controlled spec, a three-rail spec under FU and under the
+# Section 6 pairing "gate FU/DL1/IL1, fire FU", plus specs that Validate
 # must reject: negative unit counts, an unbounded PDN kernel and
 # resonant periods too long or too short for the threshold solver.
 go test -run NONE -fuzz FuzzSpecNewSystem -fuzztime=10s ./internal/core
 
 # Replay differential fuzzing: a one-rail spec decoded from arbitrary
-# bytes (workload, impedance, sensor delay and noise, mechanism, flush
-# recovery, seed, budget <= 50k cycles) replayed from its open-loop twin's
-# cached machine trace must equal the same spec on the stepped path, on
-# every Result field. The committed corpus seeds an open-loop run, a
-# controlled run that never acts and two that do.
+# bytes (workload, impedance, sensor delay and noise, mechanism, symmetric
+# or a Section 6 pairing, flush recovery, seed, budget <= 50k cycles)
+# replayed from its open-loop twin's cached machine trace must equal the
+# same spec on the stepped path, on every Result field. The committed
+# corpus seeds an open-loop run, a controlled run that never acts, two
+# that act under symmetric mechanisms and one under each pairing.
 go test -run NONE -fuzz FuzzReplayMatchesStepwise -fuzztime=10s ./internal/core
 
 # Request-decoder fuzzing: arbitrary bodies through didtd's simulate,

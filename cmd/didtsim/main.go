@@ -42,7 +42,7 @@ func main() {
 		asmPath   = flag.String("asm", "", "path to an assembly file (used with -workload asm)")
 		impedance = flag.Float64("impedance", 2, "impedance as a multiple of target (1 = meets spec)")
 		control   = flag.Bool("control", false, "enable the dI/dt threshold controller")
-		mechName  = flag.String("mechanism", "ideal", "FU, FU/DL1, FU/DL1/IL1 or ideal")
+		mechName  = flag.String("mechanism", "ideal", "FU, FU/DL1, FU/DL1/IL1, ideal, or a pairing \"gate X, fire Y\" of two of them")
 		delay     = flag.Int("delay", 2, "sensor/controller delay in cycles")
 		noise     = flag.Float64("noise", 0, "sensor noise amplitude in mV")
 		cycles    = flag.Uint64("cycles", 400000, "maximum cycles")

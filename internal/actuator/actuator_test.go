@@ -11,8 +11,11 @@ import (
 
 func TestRespondMapsLevels(t *testing.T) {
 	for _, m := range Granularities() {
+		if m.Gate != (cpu.Gating{FUs: m.Fire.FUs, DL1: m.Fire.DL1, IL1: m.Fire.IL1}) {
+			t.Errorf("%s: gates %+v but fires %+v", m.Name, m.Gate, m.Fire)
+		}
 		g, ph := m.Respond(sensor.Low)
-		if g.FUs != m.FUs || g.DL1 != m.DL1 || g.IL1 != m.IL1 {
+		if g != m.Gate {
 			t.Errorf("%s low: gating %+v", m.Name, g)
 		}
 		if ph != (power.Phantom{}) {
@@ -22,7 +25,7 @@ func TestRespondMapsLevels(t *testing.T) {
 		if g != (cpu.Gating{}) {
 			t.Errorf("%s high: gating should be off", m.Name)
 		}
-		if ph.FUs != m.FUs || ph.DL1 != m.DL1 || ph.IL1 != m.IL1 {
+		if ph != m.Fire {
 			t.Errorf("%s high: phantom %+v", m.Name, ph)
 		}
 		g, ph = m.Respond(sensor.Normal)
@@ -66,8 +69,54 @@ func TestEnvelopeAuthorityGrowsWithScope(t *testing.T) {
 	}
 }
 
+// TestByName: the four symmetric names resolve to the package values, and
+// every "gate X, fire Y" pairing of them gates X's units and fires Y's,
+// with the gate half's floor and the fire half's ceiling bit for bit.
+func TestByName(t *testing.T) {
+	pm := power.New(power.Params{}, cpu.DefaultConfig())
+	sym := []Mechanism{FU, FUDL1, FUDL1IL1, Ideal}
+	for i, name := range Names() {
+		m, err := ByName(name)
+		if err != nil || m != sym[i] {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", name, m, err, sym[i])
+		}
+	}
+	for _, x := range sym {
+		for _, y := range sym {
+			name := "gate " + x.Name + ", fire " + y.Name
+			m, err := ByName(name)
+			if err != nil {
+				t.Errorf("ByName(%q): %v", name, err)
+				continue
+			}
+			if m.Name != name || m.Gate != x.Gate || m.Fire != y.Fire {
+				t.Errorf("ByName(%q) = %+v", name, m)
+			}
+			floor, ceil := m.Envelope(pm)
+			wantFloor, _ := x.Envelope(pm)
+			_, wantCeil := y.Envelope(pm)
+			if math.Float64bits(floor) != math.Float64bits(wantFloor) || math.Float64bits(ceil) != math.Float64bits(wantCeil) {
+				t.Errorf("%s: envelope (%v, %v), want (%v, %v)", name, floor, ceil, wantFloor, wantCeil)
+			}
+		}
+	}
+	for _, bad := range []string{
+		"", "fu", "DVFS", "gate FU", "fire FU, gate FU", "gate FU,fire FU", "gate FU, fire FU/DL2",
+		"gate FU, fire gate FU, fire FU", "gate  FU, fire FU", "gate FU, fire FU ",
+	} {
+		if m, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted: %+v", bad, m)
+		}
+	}
+}
+
+// TestAsymmetricRespond: the Section 6 pairing gates the wide scope on a
+// voltage-low reading and fires only the FUs on a voltage-high one.
 func TestAsymmetricRespond(t *testing.T) {
-	a := GateWideFireNarrow
+	a, err := ByName("gate FU/DL1/IL1, fire FU")
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, ph := a.Respond(sensor.Low)
 	if !g.FUs || !g.DL1 || !g.IL1 {
 		t.Errorf("low response should gate the wide scope: %+v", g)
@@ -88,27 +137,20 @@ func TestAsymmetricRespond(t *testing.T) {
 	}
 }
 
+// TestAsymmetricEnvelopeMixesScopes: a pairing's reach over any scope mask
+// is its gate half's floor and its fire half's ceiling there.
 func TestAsymmetricEnvelopeMixesScopes(t *testing.T) {
 	pm := power.New(power.Params{}, cpu.DefaultConfig())
-	floor, ceil := GateWideFireNarrow.Envelope(pm)
-	wantFloor, _ := FUDL1IL1.Envelope(pm)
-	_, wantCeil := FU.Envelope(pm)
-	if floor != wantFloor {
-		t.Errorf("floor %g, want the wide gating scope's %g", floor, wantFloor)
+	a, err := ByName("gate FU/DL1/IL1, fire FU")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ceil != wantCeil {
-		t.Errorf("ceiling %g, want the narrow phantom scope's %g", ceil, wantCeil)
+	for mask := power.ScopeMask(1); mask <= power.AllScopes; mask++ {
+		floor, ceil := a.Reach(pm, mask)
+		wantFloor, _ := FUDL1IL1.Reach(pm, mask)
+		_, wantCeil := FU.Reach(pm, mask)
+		if floor != wantFloor || ceil != wantCeil {
+			t.Errorf("mask %b: reach (%g, %g), want (%g, %g)", mask, floor, ceil, wantFloor, wantCeil)
+		}
 	}
-}
-
-func TestResponderLabels(t *testing.T) {
-	if FUDL1.Label() != "FU/DL1" {
-		t.Error("mechanism label")
-	}
-	if GateWideFireNarrow.Label() == "" {
-		t.Error("asymmetric label empty")
-	}
-	// Both implement the Responder interface.
-	var _ Responder = FU
-	var _ Responder = GateWideFireNarrow
 }

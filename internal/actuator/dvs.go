@@ -3,24 +3,20 @@ package actuator
 import (
 	"math"
 
-	"didt/internal/cpu"
-	"didt/internal/power"
 	"didt/internal/sensor"
 )
 
-// DVS layers dynamic voltage scaling over an inner gate/phantom-fire
-// responder: sustained voltage-low pressure walks the operating point down
-// a descending schedule of voltage/frequency steps (each transition paying
-// a latency), and a quiet spell walks it back up. The operating point
-// scales the chip's current draw by step^CurrentExponent (P ~ V^2·f gives
-// an exponent near 2 with I = P/V), so a lower step both shrinks the
-// transients that cause voltage-low emergencies and leaves the inner
-// mechanism's cycle-scale gating to catch what remains — the two actuators
-// compose through the one Responder interface.
+// DVS is a dynamic voltage scaling schedule that runs beside the
+// gate/phantom-fire Mechanism: sustained voltage-low pressure walks the
+// operating point down a descending schedule of voltage/frequency steps
+// (each transition paying a latency), and a quiet spell walks it back up.
+// The operating point scales the chip's current draw by
+// step^CurrentExponent (P ~ V^2·f gives an exponent near 2 with I = P/V),
+// so a lower step both shrinks the transients that cause voltage-low
+// emergencies and leaves the mechanism's cycle-scale gating to catch what
+// remains. DVS only ever shrinks the currents, so the mechanism's envelope
+// stays a safe bound for the threshold solver.
 type DVS struct {
-	// Inner handles the cycle-scale gate/phantom response; its decisions
-	// pass through unchanged.
-	Inner Responder
 	// Steps is the descending operating-point schedule (fractions of
 	// nominal; Steps[0] must be 1).
 	Steps []float64
@@ -42,12 +38,10 @@ type DVS struct {
 	quiet   int       // consecutive non-Low cycles since the last reset
 }
 
-var _ Responder = (*DVS)(nil)
-
-// NewDVS builds a DVS responder around inner. Empty steps select the
+// NewDVS builds a DVS schedule. Empty steps select the
 // [1, 0.95, 0.9] default schedule; a zero exponent selects 2 (zero
 // latencies are honored as written — an ideal instantaneous regulator).
-func NewDVS(inner Responder, steps []float64, transitionCycles, holdCycles int, currentExponent float64) *DVS {
+func NewDVS(steps []float64, transitionCycles, holdCycles int, currentExponent float64) *DVS {
 	if len(steps) == 0 {
 		steps = []float64{1, 0.95, 0.9}
 	}
@@ -55,7 +49,6 @@ func NewDVS(inner Responder, steps []float64, transitionCycles, holdCycles int, 
 		currentExponent = 2
 	}
 	d := &DVS{
-		Inner:            inner,
 		Steps:            steps,
 		TransitionCycles: transitionCycles,
 		HoldCycles:       holdCycles,
@@ -66,27 +59,6 @@ func NewDVS(inner Responder, steps []float64, transitionCycles, holdCycles int, 
 		d.scales[i] = math.Pow(s, currentExponent)
 	}
 	return d
-}
-
-// Label implements Responder.
-func (d *DVS) Label() string { return d.Inner.Label() + "+dvs" }
-
-// Envelope implements Responder, delegating to the inner mechanism: the
-// solver's authority limits describe the cycle-scale actuator; DVS only
-// ever shrinks the currents flowing through them, so the inner envelope
-// stays a safe bound.
-func (d *DVS) Envelope(pm *power.Model) (floor, ceil float64) {
-	return d.Inner.Envelope(pm)
-}
-
-// Respond implements Responder: the inner mechanism's gating and phantom
-// decisions pass through unchanged. It never moves the schedule; the
-// owner advances it through Observe, from whichever sensed level it binds
-// the schedule to.
-//
-//didt:hotpath
-func (d *DVS) Respond(l sensor.Level) (cpu.Gating, power.Phantom) {
-	return d.Inner.Respond(l)
 }
 
 // Observe advances the voltage-step schedule one cycle with the given

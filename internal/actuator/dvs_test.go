@@ -4,13 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"didt/internal/cpu"
-	"didt/internal/power"
 	"didt/internal/sensor"
 )
 
 func TestDVSDefaults(t *testing.T) {
-	d := NewDVS(FU, nil, 10, 60, 0)
+	d := NewDVS(nil, 10, 60, 0)
 	if len(d.Steps) != 3 || d.Steps[0] != 1 {
 		t.Errorf("default steps %v", d.Steps)
 	}
@@ -20,38 +18,10 @@ func TestDVSDefaults(t *testing.T) {
 	if d.Scale() != 1 || d.CurrentScale() != 1 {
 		t.Errorf("initial operating point %g/%g, want 1/1", d.Scale(), d.CurrentScale())
 	}
-	if d.Label() != "FU+dvs" {
-		t.Errorf("label %q", d.Label())
-	}
-}
-
-// TestDVSPassesInnerResponseThrough: Respond returns the inner
-// mechanism's decision and never moves the schedule — with zero latencies
-// a single Observe(Low) would step down at once, so any hidden advance
-// shows up in the operating point and the counters.
-func TestDVSPassesInnerResponseThrough(t *testing.T) {
-	d := NewDVS(FUDL1IL1, nil, 0, 0, 2)
-	for i := 0; i < 10; i++ {
-		for _, l := range []sensor.Level{sensor.Low, sensor.Normal, sensor.High} {
-			g, p := d.Respond(l)
-			wg, wp := FUDL1IL1.Respond(l)
-			if g != wg || p != wp {
-				t.Errorf("level %v: response (%+v,%+v) != inner (%+v,%+v)", l, g, p, wg, wp)
-			}
-		}
-	}
-	if d.Level() != 0 || d.Scale() != 1 || d.StepDowns != 0 || d.StepUps != 0 {
-		t.Errorf("Respond moved the schedule: level %d scale %g, %d down %d up",
-			d.Level(), d.Scale(), d.StepDowns, d.StepUps)
-	}
-	d.Observe(sensor.Low)
-	if d.Scale() != 0.95 {
-		t.Errorf("Observe(Low) with zero latency: scale %g, want 0.95", d.Scale())
-	}
 }
 
 func TestDVSStepsDownWithLatencyAndBackUpAfterHold(t *testing.T) {
-	d := NewDVS(FU, []float64{1, 0.9, 0.8}, 5, 20, 2)
+	d := NewDVS([]float64{1, 0.9, 0.8}, 5, 20, 2)
 	// One Low starts a transition; the step commits only after the
 	// 5-cycle latency, during which the operating point is unchanged.
 	d.Observe(sensor.Low)
@@ -85,7 +55,7 @@ func TestDVSStepsDownWithLatencyAndBackUpAfterHold(t *testing.T) {
 }
 
 func TestDVSLowDuringQuietResetsHold(t *testing.T) {
-	d := NewDVS(FU, []float64{1, 0.9}, 0, 10, 2)
+	d := NewDVS([]float64{1, 0.9}, 0, 10, 2)
 	d.Observe(sensor.Low) // instantaneous (zero latency)
 	if d.Scale() != 0.9 {
 		t.Fatalf("zero-latency step did not commit: %g", d.Scale())
@@ -108,18 +78,8 @@ func TestDVSLowDuringQuietResetsHold(t *testing.T) {
 	}
 }
 
-func TestDVSEnvelopeDelegates(t *testing.T) {
-	pm := power.New(power.Params{}, cpu.DefaultConfig())
-	d := NewDVS(FUDL1, nil, 10, 60, 2)
-	f, c := d.Envelope(pm)
-	wf, wc := FUDL1.Envelope(pm)
-	if f != wf || c != wc {
-		t.Errorf("envelope (%g,%g) != inner (%g,%g)", f, c, wf, wc)
-	}
-}
-
 func TestDVSReset(t *testing.T) {
-	d := NewDVS(FU, []float64{1, 0.9}, 0, 5, 2)
+	d := NewDVS([]float64{1, 0.9}, 0, 5, 2)
 	d.Observe(sensor.Low)
 	d.Reset()
 	if d.Scale() != 1 || d.StepDowns != 0 || d.StepUps != 0 {

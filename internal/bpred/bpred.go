@@ -291,11 +291,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// MispredRate returns the fraction of lookups that were mispredicted.
-func (p *Predictor) MispredRate() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.DirMispred+p.TargMispred) / float64(p.Lookups)
-}

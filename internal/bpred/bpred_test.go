@@ -170,8 +170,8 @@ func TestMispredRateCounts(t *testing.T) {
 	in := isa.Instr{Op: isa.BNEZ, Src1: 1, Imm: 1}
 	pr := p.Lookup(8, in)
 	p.Resolve(8, in, pr, !pr.Taken, 9) // force one mispredict
-	if p.MispredRate() == 0 {
-		t.Error("mispredict not counted")
+	if p.DirMispred+p.TargMispred != 1 {
+		t.Errorf("mispredicts = %d+%d, want 1", p.DirMispred, p.TargMispred)
 	}
 	if p.Lookups != 1 {
 		t.Errorf("lookups = %d", p.Lookups)

@@ -29,20 +29,14 @@ import (
 )
 
 // Options assembles a system: the serializable spec describing the run,
-// plus the few runtime-only attachments (a code-level responder override,
-// trace recording, a telemetry sink) that cannot live in configuration
-// data. Zero spec fields take paper defaults; see spec.RunSpec.
+// plus the few runtime-only attachments (trace recording, a telemetry
+// sink) that cannot live in configuration data. Zero spec fields take
+// paper defaults; see spec.RunSpec.
 type Options struct {
 	// Spec is the complete run description — PDN, CPU, power model,
 	// sensor, controller, actuator, budgets and seed. NewSystem resolves
 	// it through spec.WithDefaults, so sparse specs work.
 	Spec spec.RunSpec
-
-	// Responder overrides the spec's named mechanism with an arbitrary
-	// actuation policy (e.g. actuator.Asymmetric, the paper's Section 6
-	// proposal). Responders are code, so they attach here rather than in
-	// the serializable spec.
-	Responder actuator.Responder
 
 	RecordTraces bool // keep per-cycle current/voltage traces
 
@@ -119,8 +113,10 @@ type System struct {
 
 	thresholds control.Thresholds
 	policy     control.Policy
-	responder  actuator.Responder
-	counting   *actuator.Counting
+	mech       actuator.Mechanism
+	// responses counts the controlled cycles by sensed level (indexed by
+	// sensor.Level), published as the actuator.*_responses_total counters.
+	responses [3]uint64
 
 	// Telemetry stream plus the previous-cycle states whose transitions
 	// become events.
@@ -210,20 +206,11 @@ func NewSystem(prog isa.Program, opts Options) (*System, error) {
 		return nil, err
 	}
 
-	s.responder = opts.Responder
-	var mech actuator.Mechanism
-	if s.responder == nil {
-		if mech, err = sp.Mechanism(); err != nil {
-			return nil, err
-		}
-		s.responder = mech
-	} else if len(s.rails) > 1 {
-		// Scoped authority needs the mechanism's unit set (see authority).
-		return nil, fmt.Errorf("core: multi-rail specs do not support code-level responder overrides; use the actuator spec")
+	if s.mech, err = sp.Mechanism(); err != nil {
+		return nil, err
 	}
 	if d := sp.Actuator.DVS; d != nil {
-		s.dvs = actuator.NewDVS(s.responder, d.Steps, d.TransitionCycles, d.HoldCycles, d.CurrentExponent)
-		s.responder = s.dvs
+		s.dvs = actuator.NewDVS(d.Steps, d.TransitionCycles, d.HoldCycles, d.CurrentExponent)
 		for i := range s.rails {
 			if d.Rail != "" && s.rails[i].name == d.Rail {
 				s.dvsRail = i
@@ -233,12 +220,8 @@ func NewSystem(prog isa.Program, opts Options) (*System, error) {
 	if !sp.Control.Enabled {
 		return s, nil
 	}
-	// The counting wrapper feeds actuation tallies into the metrics
-	// registry at the end of the run; one plain increment per cycle.
-	s.counting = &actuator.Counting{R: s.responder}
-	s.responder = s.counting
 	for i := range s.rails {
-		if err := s.solve(&s.rails[i], mech); err != nil {
+		if err := s.solve(&s.rails[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -440,16 +423,15 @@ func (s *System) stepped() (*Result, error) {
 // machine trace: a single-rail run in which nothing but the controller's
 // decisions feeds the computed voltage back into the machine, so the
 // machine runs open loop until control first acts — the pessimistic ramp
-// is off (its gating feeds the next machine cycle), no code-level
-// responder is attached, no DVS schedule scales the current, and the
-// telemetry stream is disabled (per-cycle emission is interleaved with
-// stepping). Trace-cache entries hold one whole-chip current per cycle, so
-// runs on several rails always step, and they hold at most maxTraceCycles,
-// so longer budgets step too.
+// is off (its gating feeds the next machine cycle), no DVS schedule
+// scales the current, and the telemetry stream is disabled (per-cycle
+// emission is interleaved with stepping). Any mechanism qualifies, a
+// Section 6 pairing included. Trace-cache entries hold one whole-chip
+// current per cycle, so runs on several rails always step, and they hold
+// at most maxTraceCycles, so longer budgets step too.
 func (s *System) replays() bool {
 	return len(s.rails) == 1 &&
 		s.spec.Control.PessimisticRamp == 0 &&
-		s.opts.Responder == nil &&
 		s.dvs == nil &&
 		!s.stream.Enabled() &&
 		s.spec.Budget.MaxCycles <= maxTraceCycles
@@ -528,10 +510,10 @@ func (s *System) publishMetrics(r *Result) {
 			reg.Counter("sensor.high_trips_total").Add(int64(high))
 		}
 	}
-	if s.counting != nil {
-		reg.Counter("actuator.low_responses_total").Add(int64(s.counting.LowResponses))
-		reg.Counter("actuator.high_responses_total").Add(int64(s.counting.HighResponses))
-		reg.Counter("actuator.normal_responses_total").Add(int64(s.counting.NormalResponses))
+	if s.spec.Control.Enabled {
+		reg.Counter("actuator.low_responses_total").Add(int64(s.responses[sensor.Low]))
+		reg.Counter("actuator.high_responses_total").Add(int64(s.responses[sensor.High]))
+		reg.Counter("actuator.normal_responses_total").Add(int64(s.responses[sensor.Normal]))
 	}
 	reg.Histogram("core.run_ipc", 0, 8, 32).Observe(r.IPC())
 }

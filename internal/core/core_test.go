@@ -457,3 +457,41 @@ func TestRunPublishesMetrics(t *testing.T) {
 		t.Fatal("actuator responses not published")
 	}
 }
+
+// TestActuatorResponseCounts pins the actuator.*_responses_total deltas of
+// controlled runs: every controlled cycle counts once, by the level its
+// control half sensed. The values were measured when a counting wrapper
+// around the actuator tallied them.
+func TestActuatorResponseCounts(t *testing.T) {
+	reg := telemetry.Default()
+	names := []string{"actuator.low_responses_total", "actuator.high_responses_total", "actuator.normal_responses_total"}
+	for _, c := range []struct {
+		mech string
+		want [3]int64
+	}{
+		{actuator.FU.Name, [3]int64{1448, 1639, 11914}},
+		{"gate FU/DL1/IL1, fire FU", [3]int64{1193, 0, 13808}},
+	} {
+		k := knobs{
+			ImpedancePct: 3, MaxCycles: 15_001, WarmupCycles: 2_000,
+			Control: true, Mechanism: c.mech, Delay: 2, Seed: 7,
+		}
+		before := reg.Snapshot().Counters
+		sys, err := NewSystem(alternator(2000), k.options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sys.Close()
+		after := reg.Snapshot().Counters
+		var got [3]int64
+		for i, n := range names {
+			got[i] = after[n] - before[n]
+		}
+		if got != c.want {
+			t.Errorf("%s: low/high/normal responses %v, want %v", c.mech, got, c.want)
+		}
+	}
+}

@@ -171,7 +171,7 @@ func (s *System) endCycle(act *cpu.Activity, current, v float64, done bool) Cycl
 
 // control is the half of cycle s.cycle that runs between its machine step
 // and the next: the sensor level lead cycles ahead of the newest ingested
-// voltage, policy, responder and flush recovery, then the pessimistic
+// voltage, policy, mechanism and flush recovery, then the pessimistic
 // ramp. It returns the sensed level (the aggregate across rails). It
 // writes only control state — gating, phantom, a due flush — and never the
 // machine, so a replay can run it before the machine has been stepped.
@@ -184,7 +184,8 @@ func (s *System) control(act *cpu.Activity, lead int) sensor.Level {
 		level, anyLow, anyHigh = s.classify(lead)
 		lowBefore := s.policy.LowEvents
 		gate, phantom := s.policy.Update(anyLow, anyHigh)
-		g, p := s.responder.Respond(level)
+		s.responses[level]++
+		g, p := s.mech.Respond(level)
 		if !gate {
 			g = cpu.Gating{}
 		}

@@ -164,9 +164,10 @@ func TestRunMatchesStepwiseAcrossDelays(t *testing.T) {
 	}
 }
 
-// TestRunMatchesStepwiseControlVariants covers flush recovery, the
-// pessimistic ramp with and without a controller (the latter at the full
-// block length), DVS on one rail and on three, and trace recording.
+// TestRunMatchesStepwiseControlVariants covers flush recovery, a Section 6
+// asymmetric mechanism on one rail and on three, the pessimistic ramp with
+// and without a controller (the latter at the full block length), DVS on
+// one rail and on three, and trace recording.
 func TestRunMatchesStepwiseControlVariants(t *testing.T) {
 	prog := alternator(2000)
 	base := knobs{
@@ -178,6 +179,11 @@ func TestRunMatchesStepwiseControlVariants(t *testing.T) {
 	flush.FlushRecovery = true
 	checkRunMatchesStepwise(t, "single flush", prog, flush.options())
 	checkRunMatchesStepwise(t, "3-rail flush", prog, threeRailKnobs(flush))
+
+	asym := base
+	asym.Mechanism = "gate FU/DL1/IL1, fire FU"
+	checkRunMatchesStepwise(t, "single asymmetric", prog, asym.options())
+	checkRunMatchesStepwise(t, "3-rail asymmetric", prog, threeRailKnobs(asym))
 
 	ramp := base.options()
 	ramp.Spec.Control.PessimisticRamp = 6
@@ -474,9 +480,9 @@ func replayCounters() (runs, resumed, cycles int64) {
 // first action falls, and every class must occur: never, at cycle 0 and
 // at cycle 1, mid-block at a delay of 2-6, on a block's last cycle, after
 // half the run, under a 10 mV noisy sensor, with flush recovery, and in a
-// run that retires mid-block after resuming. A last case runs a
-// never-acting controlled system on a cold cache: it steps, and leaves no
-// trace behind.
+// run that retires mid-block after resuming, and under a Section 6
+// asymmetric mechanism. A last case runs a never-acting controlled system
+// on a cold cache: it steps, and leaves no trace behind.
 func TestRunMatchesStepwiseControlledReplay(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -569,6 +575,9 @@ func TestRunMatchesStepwiseControlledReplay(t *testing.T) {
 		if got.Cycles < opts.Spec.Budget.MaxCycles && int64(got.Cycles)%b != 0 {
 			covered["retires mid-block after resuming"] = true
 		}
+		if _, _, ok := actuator.Pair(opts.Spec.Actuator.Mechanism); ok {
+			covered["asymmetric mechanism"] = true
+		}
 	}
 
 	prog := alternator(2000)
@@ -603,9 +612,16 @@ func TestRunMatchesStepwiseControlledReplay(t *testing.T) {
 		}
 		check(fmt.Sprintf("retire delay=%d", delay), alternator(60), k.options(), nil)
 	}
+	for _, mech := range []string{"gate FU/DL1/IL1, fire FU", "gate FU, fire ideal"} {
+		k := knobs{
+			ImpedancePct: 2.5, MaxCycles: 12_007, WarmupCycles: 2_000,
+			Control: true, Mechanism: mech, Delay: 2, Seed: 7,
+		}
+		check(mech, prog, k.options(), nil)
+	}
 	for _, c := range []string{
 		"never acts", "acts at cycle 0", "acts at cycle 1", "acts mid-block", "acts on a block's last cycle",
-		"acts late", "noise 10 mV", "flush recovery", "retires mid-block after resuming",
+		"acts late", "noise 10 mV", "flush recovery", "retires mid-block after resuming", "asymmetric mechanism",
 	} {
 		if !covered[c] {
 			t.Errorf("no case %s; the replay comparison misses it", c)

@@ -22,8 +22,9 @@ import (
 // their computations, the threshold solve among them, as one). The
 // committed corpus holds the resolved default spec
 // (internal/spec/testdata/default_spec.json), a sparse one, a controlled
-// one, a three-rail spec with coupling, per-rail sensing and DVS, and
-// three with a negative unit count or fetch-queue length (once accepted by
+// one, a three-rail spec with coupling, per-rail sensing and DVS (under FU
+// and under the Section 6 pairing "gate FU/DL1/IL1, fire FU"), and three
+// with a negative unit count or fetch-queue length (once accepted by
 // Validate, then a makeslice panic in cpu.New), one whose PDN kernel cap
 // would have sampled ~7e7 taps, one whose 3e9-cycle resonant period would
 // have made the threshold solve run for days and one whose zero-cycle
@@ -53,20 +54,21 @@ func FuzzSpecNewSystem(f *testing.F) {
 // replayFuzzSpec decodes a one-rail run spec from fuzzer bytes (short
 // inputs are zero-padded): the workload (stressmark or a SPEC profile),
 // impedance in [1, 5), whether control is on, sensor delay 0-6 and noise
-// 0-20 mV, the mechanism, flush recovery, the seed, and a budget of
-// 2,000-50,000 cycles with a fifth of it warm-up.
+// 0-20 mV, the mechanism (a symmetric one or a Section 6 pairing), flush
+// recovery, the seed, and a budget of 2,000-50,000 cycles with a fifth of
+// it warm-up.
 func replayFuzzSpec(data []byte) spec.RunSpec {
 	var b [9]byte
 	copy(b[:], data)
 	names := append([]string{"stressmark"}, workload.Names()...)
-	mechs := append(actuator.Granularities(), actuator.Ideal)
+	mechs := append(actuator.Names(), "gate FU/DL1/IL1, fire FU", "gate FU/DL1, fire FU/DL1/IL1")
 	var s spec.RunSpec
 	s.Workload.Name = names[int(b[0])%len(names)]
 	s.PDN.ImpedancePct = 1 + float64(b[1])/64
 	s.Control.Enabled = b[2]&1 != 0
 	s.Sensor.DelayCycles = int(b[2]>>1) % 7
 	s.Sensor.NoiseMV = float64(b[3] % 21)
-	s.Actuator.Mechanism = mechs[int(b[4])%len(mechs)].Name
+	s.Actuator.Mechanism = mechs[int(b[4]&0x7f)%len(mechs)]
 	s.Control.FlushRecovery = b[4]&0x80 != 0
 	s.Seed = spec.NewSeed(int64(binary.LittleEndian.Uint16(b[5:])) + 1)
 	s.Budget.MaxCycles = 2000 + uint64(binary.LittleEndian.Uint16(b[7:]))%48001
@@ -80,8 +82,9 @@ func replayFuzzSpec(data []byte) spec.RunSpec {
 // open loop, until control first acts when controlled — and once forced
 // onto the stepped path by an enabled tracer. Every Result field must
 // agree. The committed corpus holds an open-loop run, a controlled run
-// that never acts, and two that act: at sensor delay 3 with flush
-// recovery, and at delay 1 (two-cycle blocks); `go test -fuzz
+// that never acts, two that act: at sensor delay 3 with flush recovery,
+// and at delay 1 (two-cycle blocks), and one that acts under each Section 6
+// pairing (the second phantom-fires too); `go test -fuzz
 // FuzzReplayMatchesStepwise ./internal/core` explores further.
 func FuzzReplayMatchesStepwise(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"didt/internal/actuator"
 	"didt/internal/control"
 	"didt/internal/pdn"
 	"didt/internal/power"
@@ -147,8 +146,8 @@ func (s *System) buildRails() error {
 // (e.g. FU-only actuation with large delay) the rail runs with maximally
 // conservative trip points, so the instability is observable, as in
 // Figure 17.
-func (s *System) solve(r *railState, mech actuator.Mechanism) error {
-	floor, ceil := s.authority(r, mech)
+func (s *System) solve(r *railState) error {
+	floor, ceil := s.authority(r)
 	th, err := control.NewSolver(r.net).Solve(control.Envelope{
 		IMin: r.iMin, IMax: r.iMax,
 		Floor: floor, Ceil: ceil,
@@ -179,18 +178,17 @@ func (s *System) solve(r *railState, mech actuator.Mechanism) error {
 	return r.sensor.SetThresholds(th.Low, th.High)
 }
 
-// authority is the actuator's reach over rail r: what gating can force its
-// current down to and phantom firing up to. A whole-chip rail takes the
-// responder's own envelope. A scoped rail takes the mechanism's over its
-// scopes, clamped into the rail's envelope — a rail the mechanism cannot
+// authority is the mechanism's reach over rail r: what gating its Gate
+// units can force the rail's current down to and firing its Fire units up
+// to. A whole-chip rail takes the mechanism's envelope. A scoped rail's
+// reach is clamped into the rail's envelope — a rail the mechanism cannot
 // reach keeps a floor at its own maximum (no authority), which the solver
 // then reports as unstable rather than erroring out.
-func (s *System) authority(r *railState, mech actuator.Mechanism) (floor, ceil float64) {
+func (s *System) authority(r *railState) (floor, ceil float64) {
+	floor, ceil = s.mech.Reach(s.Power, r.mask)
 	if r.mask == power.AllScopes {
-		return s.responder.Envelope(s.Power)
+		return floor, ceil
 	}
-	floor = s.Power.GatedFloorCurrent(r.mask, mech.FUs, mech.DL1, mech.IL1)
-	ceil = s.Power.PhantomCeilingCurrent(r.mask, mech.FUs, mech.DL1, mech.IL1)
 	return min(floor, r.iMax), max(ceil, r.iMin)
 }
 

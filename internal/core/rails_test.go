@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"didt/internal/actuator"
+	"didt/internal/control"
 	"didt/internal/spec"
 )
 
@@ -195,7 +196,7 @@ func TestMultiRailControlSolvesPerRailThresholds(t *testing.T) {
 
 // TestMultiRailDVSComposesWithGating: under sustained pressure the DVS
 // schedule steps down while the cycle-scale mechanism keeps actuating —
-// the two responders compose in one spec.
+// the schedule and the mechanism compose in one spec.
 func TestMultiRailDVSComposesWithGating(t *testing.T) {
 	o := threeRailKnobs(knobs{
 		ImpedancePct: 3, MaxCycles: 200000, WarmupCycles: 10000,
@@ -252,11 +253,46 @@ func TestMultiRailDeterministic(t *testing.T) {
 	}
 }
 
-func TestMultiRailRejectsResponderOverride(t *testing.T) {
-	o := threeRailKnobs(knobs{MaxCycles: 1000})
-	o.Responder = actuator.Asymmetric{Low: actuator.FU, High: actuator.Ideal}
-	if _, err := NewSystem(alternator(10), o); err == nil {
-		t.Fatal("multi-rail spec accepted a code-level responder override")
+// TestMultiRailAsymmetricAuthority: a three-rail spec with a Section 6
+// pairing builds, and each scoped rail's thresholds are solved against the
+// pairing's gate units' floor and fire units' ceiling over the rail's
+// scopes, clamped into the rail's envelope (the mem rail's FU-only
+// ceiling is clamped up to the rail's minimum).
+func TestMultiRailAsymmetricAuthority(t *testing.T) {
+	k := knobs{ImpedancePct: 3, MaxCycles: 1000, Control: true, Mechanism: "gate FU/DL1/IL1, fire FU", Delay: 2}
+	sys, err := NewSystem(alternator(10), threeRailKnobs(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	k.Mechanism = actuator.FUDL1IL1.Name
+	wide, err := NewSystem(alternator(10), threeRailKnobs(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	differs := false
+	for i := range sys.rails {
+		r := &sys.rails[i]
+		floor := min(sys.Power.GatedFloorCurrent(r.mask, true, true, true), r.iMax)
+		ceil := max(sys.Power.PhantomCeilingCurrent(r.mask, true, false, false), r.iMin)
+		if f, c := sys.authority(r); f != floor || c != ceil {
+			t.Errorf("rail %s: authority (%g, %g), want (%g, %g)", r.name, f, c, floor, ceil)
+		}
+		want, err := control.NewSolver(r.net).Solve(control.Envelope{
+			IMin: r.iMin, IMax: r.iMax, Floor: floor, Ceil: ceil, Settle: sys.spec.Control.SettleCycles,
+		}, sys.spec.Sensor.DelayCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Stable != r.th.Stable || want.Stable && (want.Low != r.th.Low || want.High != r.th.High) {
+			t.Errorf("rail %s: thresholds %+v, want %+v from floor %g, ceiling %g", r.name, r.th, want, floor, ceil)
+		}
+		_, wideCeil := wide.authority(&wide.rails[i])
+		differs = differs || ceil != wideCeil
+	}
+	if !differs {
+		t.Error("firing only the FUs reaches as high as firing every unit on each rail; the comparison proves little")
 	}
 }
 

@@ -26,8 +26,9 @@ type spineCase struct {
 // spineCases are the closed-loop configurations experiments_output.txt
 // does not exercise: single-rail DVS, sensor noise, flush recovery, the
 // pessimistic ramp, envelope overrides, recorded traces, a keyed
-// open-loop replay, a code-level responder, and the coupled three-rail
-// loop with DVS bound to one rail.
+// open-loop replay, a Section 6 asymmetric mechanism (it replays the keyed
+// open-loop run's trace until control first acts), and the coupled
+// three-rail loop with DVS bound to one rail.
 func spineCases() []spineCase {
 	prog := alternator(2000)
 	base := knobs{
@@ -79,9 +80,9 @@ func spineCases() []spineCase {
 	open.Control = false
 	add("keyed open loop", open.options())
 
-	asym := base.options()
-	asym.Responder = actuator.Asymmetric{Low: actuator.FU, High: actuator.Ideal}
-	add("asymmetric responder", asym)
+	asym := base
+	asym.Mechanism = "gate FU, fire ideal"
+	add("asymmetric responder", asym.options())
 
 	rails := threeRailKnobs(base)
 	rails.Spec.Actuator.DVS = &spec.DVSSpec{TransitionCycles: 5, HoldCycles: 400, Rail: "core"}

@@ -32,7 +32,7 @@ func actuationStudy(cfg Config) (*ActuationStudy, error) {
 		benches := cfg.challenging()
 		grid := mechanismDelays()
 		runs, err := controlledCosts(cfg, benches, grid, func(pt mechanismDelay, prog isa.Program) runJob {
-			return cfg.controlledJob(prog, 2, pt.mech, pt.delay, 0)
+			return cfg.controlledJob(prog, 2, pt.mech.Name, pt.delay, 0)
 		})
 		if err != nil {
 			return nil, err
@@ -153,7 +153,7 @@ func stressmarkActuation(cfg Config) (*StressmarkActuationStudy, error) {
 	return memoized("stressmark-actuation", cfg, func() (*StressmarkActuationStudy, error) {
 		grid := mechanismDelays()
 		runs, err := controlledCosts(cfg, []string{"stressmark"}, grid, func(pt mechanismDelay, prog isa.Program) runJob {
-			return cfg.controlledJob(prog, 2, pt.mech, pt.delay, 0)
+			return cfg.controlledJob(prog, 2, pt.mech.Name, pt.delay, 0)
 		})
 		if err != nil {
 			return nil, err

@@ -120,7 +120,7 @@ func sensorDelayStudy(cfg Config) (*SensorDelayStudy, error) {
 		workloads := append(append([]string{}, benches...), "stressmark")
 		const delays = 7
 		runs, err := controlledCosts(cfg, workloads, seq(delays), func(d int, prog isa.Program) runJob {
-			return cfg.controlledJob(prog, 2, actuator.Ideal, d, 0)
+			return cfg.controlledJob(prog, 2, actuator.Ideal.Name, d, 0)
 		})
 		if err != nil {
 			return nil, err
@@ -207,7 +207,7 @@ func sensorErrorStudy(cfg Config) (*SensorErrorStudy, error) {
 		benches := cfg.challenging()
 		noises := []float64{0, 10, 15, 20, 25}
 		runs, err := controlledCosts(cfg, benches, noises, func(noise float64, prog isa.Program) runJob {
-			return cfg.controlledJob(prog, 2, actuator.Ideal, delay, noise)
+			return cfg.controlledJob(prog, 2, actuator.Ideal.Name, delay, noise)
 		})
 		if err != nil {
 			return nil, err

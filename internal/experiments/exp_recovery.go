@@ -27,7 +27,7 @@ func recoveryStudy(cfg Config) ([]RecoveryPoint, error) {
 	return memoized("recovery-policy", cfg, func() ([]RecoveryPoint, error) {
 		flushes := []bool{false, true}
 		runs, err := controlledCosts(cfg, []string{"stressmark"}, flushes, func(flush bool, prog isa.Program) runJob {
-			j := cfg.controlledJob(prog, 2, actuator.FUDL1, 2, 0)
+			j := cfg.controlledJob(prog, 2, actuator.FUDL1.Name, 2, 0)
 			j.opts.Spec.Control.FlushRecovery = flush
 			return j
 		})

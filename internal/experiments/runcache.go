@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"didt/internal/actuator"
 	"didt/internal/core"
 	"didt/internal/isa"
 	"didt/internal/sim"
@@ -50,22 +49,21 @@ func (c Config) uncontrolledFullJob(prog isa.Program, pct float64) runJob {
 
 // controlledJob describes one controlled run. Controlled runs take longer,
 // so it keeps uncontrolledFullJob's headroom.
-func (c Config) controlledJob(prog isa.Program, pct float64, mech actuator.Mechanism, delay int, noiseMV float64) runJob {
+func (c Config) controlledJob(prog isa.Program, pct float64, mech string, delay int, noiseMV float64) runJob {
 	j := c.uncontrolledFullJob(prog, pct)
 	j.opts.Spec.Control.Enabled = true
-	j.opts.Spec.Actuator.Mechanism = mech.Name
+	j.opts.Spec.Actuator.Mechanism = mech
 	j.opts.Spec.Sensor.DelayCycles = delay
 	j.opts.Spec.Sensor.NoiseMV = noiseMV
 	return j
 }
 
 // cacheableRun reports whether a job's complete Result is safe to memoize:
-// it must not carry a code-attached responder (not fingerprintable), must
-// not want private trace buffers, and must not stream telemetry (an
-// enabled tracer observes every cycle; serving such a run from cache would
-// silently drop its stream).
+// it must not want private trace buffers, and must not stream telemetry
+// (an enabled tracer observes every cycle; serving such a run from cache
+// would silently drop its stream).
 func cacheableRun(opts core.Options) bool {
-	return opts.Responder == nil && !opts.RecordTraces && !opts.Telemetry.Enabled()
+	return !opts.RecordTraces && !opts.Telemetry.Enabled()
 }
 
 // canonicalRunSpec maps a spec to a representative of its behavioral
@@ -74,10 +72,11 @@ func cacheableRun(opts core.Options) bool {
 //   - with the controller (and ramp baseline) off, the actuator, sensor
 //     and seed are dead configuration — gating never engages and the
 //     sensor RNG is never drawn;
-//   - with control on, the mechanism reduces to its gating booleans
-//     ("ideal" and "fu+dl1+il1" are the same actuator), and the seed is
-//     dead while NoiseMV is zero because the sensor only draws noise when
-//     the amplitude is positive.
+//   - with control on, the mechanism reduces to the units it gates and
+//     the units it fires ("ideal", "FU/DL1/IL1" and "gate ideal, fire
+//     FU/DL1/IL1" are the same actuator), and the seed is dead while
+//     NoiseMV is zero because the sensor only draws noise when the
+//     amplitude is positive.
 func canonicalRunSpec(s spec.RunSpec) spec.RunSpec {
 	r := s.WithDefaults()
 	if !r.Control.Enabled && r.Control.PessimisticRamp == 0 {
@@ -88,7 +87,7 @@ func canonicalRunSpec(s spec.RunSpec) spec.RunSpec {
 	}
 	if r.Control.Enabled {
 		if m, err := r.Mechanism(); err == nil {
-			r.Actuator.Mechanism = fmt.Sprintf("gate:%t,%t,%t", m.FUs, m.DL1, m.IL1)
+			r.Actuator.Mechanism = fmt.Sprintf("gate:%+v fire:%+v", m.Gate, m.Fire)
 		}
 		if r.Sensor.NoiseMV == 0 {
 			r.Seed = spec.Seed{}

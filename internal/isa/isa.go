@@ -153,15 +153,6 @@ func ClassOf(op Op) Class {
 	return ClassNop
 }
 
-// IsFP reports whether the opcode reads or writes the floating-point file.
-func IsFP(op Op) bool {
-	switch op {
-	case FADD, FSUB, FMUL, FDIV, FLDI, FLD, FST:
-		return true
-	}
-	return false
-}
-
 // Instr is one decoded instruction. Register fields index the integer file
 // except where the opcode is floating point (then Dst/Src1/Src2 index the
 // FP file, with memory ops keeping their base register Src1 in the integer

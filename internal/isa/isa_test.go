@@ -148,8 +148,8 @@ func TestSparseMemoryZeroDefault(t *testing.T) {
 	if m.LoadWord(1<<40) != 7 {
 		t.Error("high-address store lost")
 	}
-	if m.Footprint() != 1 {
-		t.Errorf("footprint = %d pages, want 1", m.Footprint())
+	if len(m.pages) != 1 {
+		t.Errorf("footprint = %d pages, want 1", len(m.pages))
 	}
 }
 

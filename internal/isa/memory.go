@@ -44,7 +44,3 @@ func (m *Memory) StoreWord(addr uint64, v uint64) {
 	}
 	p[word] = v
 }
-
-// Footprint returns the number of distinct pages touched, an aid for
-// sizing workload working sets against the cache hierarchy.
-func (m *Memory) Footprint() int { return len(m.pages) }

@@ -110,10 +110,6 @@ func (s *SecondOrder) DampingRatio() float64 { return s.alpha / s.w0 }
 // ResonantFreq returns the undamped natural frequency in hertz.
 func (s *SecondOrder) ResonantFreq() float64 { return s.w0 / (2 * math.Pi) }
 
-// DampedFreq returns the damped oscillation frequency in hertz; transient
-// ringing occurs at this frequency.
-func (s *SecondOrder) DampedFreq() float64 { return s.wd / (2 * math.Pi) }
-
 // Alpha returns the exponential decay rate of transients in 1/s.
 func (s *SecondOrder) Alpha() float64 { return s.alpha }
 
@@ -206,15 +202,6 @@ func (s *SecondOrder) Step(t float64) float64 {
 	return (1 / s.C) * (ic + (a/w)*is)
 }
 
-// SettlingTime returns the time for transients to decay to the given
-// fraction of their initial envelope (e.g. 0.01 for 1%).
-func (s *SecondOrder) SettlingTime(frac float64) float64 {
-	if frac <= 0 || frac >= 1 {
-		return 0
-	}
-	return -math.Log(frac) / s.alpha
-}
-
 // SampleImpulse returns the discrete convolution kernel for sample interval
 // dt (seconds). Tap k is the exact integral of the impulse response over
 // [k*dt, (k+1)*dt) — i.e. Step((k+1)dt) - Step(k*dt) — which makes the
@@ -237,15 +224,6 @@ func (s *SecondOrder) SampleImpulse(dt, relTol float64, maxLen int) []float64 {
 			break
 		}
 		out = append(out, s.Step(t+dt)-s.Step(t))
-	}
-	return out
-}
-
-// StepAtSamples evaluates the step response at k*dt for k in [0, n).
-func (s *SecondOrder) StepAtSamples(dt float64, n int) []float64 {
-	out := make([]float64, n)
-	for k := range out {
-		out[k] = s.Step(float64(k) * dt)
 	}
 	return out
 }

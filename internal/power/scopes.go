@@ -63,9 +63,6 @@ var scopeOf = [NumUnits]Scope{
 	UnitResultBus: ScopeUncore,
 }
 
-// ScopeOf returns the delivery scope a unit belongs to.
-func ScopeOf(u Unit) Scope { return scopeOf[u] }
-
 // ScopeMask is a set of scopes — the scopes one rail owns.
 type ScopeMask uint8
 

@@ -20,7 +20,7 @@ func TestScopeOfMatchesGatingClassify(t *testing.T) {
 		wantFU := classify(u, true, false, false) == scopeGated
 		wantDL1 := classify(u, false, true, false) == scopeGated
 		wantIL1 := classify(u, false, false, true) == scopeGated
-		s := ScopeOf(u)
+		s := scopeOf[u]
 		if (s == ScopeFU) != wantFU || (s == ScopeDL1) != wantDL1 || (s == ScopeIL1) != wantIL1 {
 			t.Errorf("unit %v: scope %v disagrees with classify (fu=%v dl1=%v il1=%v)",
 				u, s, wantFU, wantDL1, wantIL1)

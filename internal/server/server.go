@@ -640,7 +640,7 @@ type SimulateRequest struct {
 
 	ImpedancePct float64 `json:"impedance_pct,omitempty"` // 0 = 2.0 (200%)
 	Control      bool    `json:"control,omitempty"`
-	Mechanism    string  `json:"mechanism,omitempty"` // FU, FU/DL1, FU/DL1/IL1, ideal
+	Mechanism    string  `json:"mechanism,omitempty"` // FU, FU/DL1, FU/DL1/IL1, ideal, or "gate X, fire Y" of two of them
 	Delay        int     `json:"delay,omitempty"`
 	NoiseMV      float64 `json:"noise_mv,omitempty"`
 	Cycles       uint64  `json:"cycles,omitempty"`     // 0 = 400000

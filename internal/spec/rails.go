@@ -40,8 +40,8 @@ type CouplingSpec struct {
 	K    float64 `json:"k"`
 }
 
-// DVSSpec configures the dynamic voltage scaling responder: a descending
-// schedule of relative voltage/frequency steps the actuator walks down on
+// DVSSpec configures the dynamic voltage scaling schedule: a descending
+// list of relative voltage/frequency steps the actuator walks down on
 // sustained voltage-low pressure and back up after a quiet spell.
 type DVSSpec struct {
 	// Steps are the available operating points as fractions of nominal,

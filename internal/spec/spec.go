@@ -18,6 +18,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"didt/internal/actuator"
@@ -95,16 +96,16 @@ type ControlSpec struct {
 	PessimisticRamp int `json:"pessimistic_ramp"`
 }
 
-// ActuatorSpec selects the actuation granularity by name ("FU", "FU/DL1",
-// "FU/DL1/IL1" or "ideal"; empty resolves to "ideal"). Code-level
-// responder overrides (e.g. the asymmetric actuator study) attach at
-// runtime through core.Options, outside the serializable spec.
+// ActuatorSpec selects the actuation mechanism by name: "FU", "FU/DL1",
+// "FU/DL1/IL1" or "ideal" gate and fire the same units, and a Section 6
+// pairing "gate X, fire Y" of two of them gates X's units and fires Y's
+// (e.g. "gate FU/DL1/IL1, fire FU"). Empty resolves to "ideal".
 type ActuatorSpec struct {
 	Mechanism string `json:"mechanism"`
-	// DVS, when present, layers the dynamic voltage scaling responder on
-	// top of the gate/phantom-fire mechanism (they compose through the
-	// same Responder interface). Nil — the legacy value — keeps the key
-	// byte-identical to the pre-DVS spec.
+	// DVS, when present, runs a dynamic voltage scaling schedule beside
+	// the gate/phantom-fire mechanism: the schedule scales the chip's
+	// current while the mechanism gates and fires. Nil — the legacy value
+	// — keeps the key byte-identical to the pre-DVS spec.
 	DVS *DVSSpec `json:"dvs,omitempty"`
 }
 
@@ -217,11 +218,17 @@ func (s RunSpec) Validate() error {
 	if s.Control.PessimisticRamp < 0 {
 		errs = append(errs, fmt.Errorf("spec: control pessimistic_ramp %d negative", s.Control.PessimisticRamp))
 	}
-	if s.Actuator.Mechanism != "" {
-		if _, err := actuator.ByName(s.Actuator.Mechanism); err != nil {
-			errs = append(errs, UnknownName(
-				fmt.Sprintf("spec: unknown mechanism %q", s.Actuator.Mechanism),
-				s.Actuator.Mechanism, actuator.Names()))
+	if m := s.Actuator.Mechanism; m != "" {
+		if _, err := actuator.ByName(m); err != nil {
+			// A pairing's hint names the half that is not a mechanism.
+			bad := m
+			if gate, fire, ok := actuator.Pair(m); ok {
+				bad = fire
+				if !slices.Contains(actuator.Names(), gate) {
+					bad = gate
+				}
+			}
+			errs = append(errs, UnknownName(fmt.Sprintf("spec: unknown mechanism %q", m), bad, actuator.Names()))
 		}
 	}
 	errs = append(errs, s.validateRails()...)

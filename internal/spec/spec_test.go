@@ -151,6 +151,28 @@ func TestValidateCollectsAllErrors(t *testing.T) {
 	}
 }
 
+// TestValidateMechanismPairs: a Section 6 pairing validates, and a bad
+// half draws the did-you-mean hint for that half.
+func TestValidateMechanismPairs(t *testing.T) {
+	s := RunSpec{}.WithDefaults()
+	s.Actuator.Mechanism = "gate FU/DL1/IL1, fire FU"
+	if err := s.Validate(); err != nil {
+		t.Fatalf("pairing rejected: %v", err)
+	}
+	for name, hint := range map[string]string{
+		"gate FU, fire FU/DL2":   `did you mean "FU/DL1"?`,
+		"gate FU/DL2, fire FU":   `did you mean "FU/DL1"?`,
+		"gate FU/DL1, fire idel": `did you mean "ideal"?`,
+		"gate FU,fire FU":        "valid: FU, FU/DL1, FU/DL1/IL1, ideal",
+	} {
+		s.Actuator.Mechanism = name
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), hint) {
+			t.Errorf("%q: error %v, want one containing %q", name, err, hint)
+		}
+	}
+}
+
 // TestValidateCalendarBound checks that a memory latency too long for the
 // core's completion calendar fails spec validation, not the run.
 func TestValidateCalendarBound(t *testing.T) {

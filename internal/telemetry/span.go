@@ -44,14 +44,6 @@ func AttrStr(k, v string) Attr { return Attr{Key: k, Value: v} }
 // AttrInt builds an integer attribute.
 func AttrInt(k string, v int64) Attr { return Attr{Key: k, Value: formatInt(v)} }
 
-// AttrBool builds a boolean attribute.
-func AttrBool(k string, v bool) Attr {
-	if v {
-		return Attr{Key: k, Value: "true"}
-	}
-	return Attr{Key: k, Value: "false"}
-}
-
 // formatInt is strconv.FormatInt(v, 10) without pulling strconv into the
 // struct-literal call path (kept tiny and allocation-predictable).
 func formatInt(v int64) string {
@@ -324,7 +316,6 @@ func (t *Tracer) recordSpan(r SpanRecord) {
 			t.spanHead = 0
 		}
 	}
-	t.spanTotal++
 }
 
 // Spans returns the retained completed spans in completion order;
@@ -339,17 +330,6 @@ func (t *Tracer) Spans() []SpanRecord {
 	out = append(out, t.spans[t.spanHead:]...)
 	out = append(out, t.spans[:t.spanHead]...)
 	return out
-}
-
-// SpanTotal reports how many spans were ever recorded; SpanTotal minus
-// len(Spans()) is the number the ring bound discarded.
-func (t *Tracer) SpanTotal() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	return t.spanTotal
 }
 
 // Timer measures one wall-clock interval for operational metrics and log

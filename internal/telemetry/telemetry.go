@@ -103,11 +103,10 @@ type Tracer struct {
 	// Completed request spans (span.go) ride the same tracer behind the
 	// same enabled flag, in their own ring: spans are written by many
 	// request goroutines while streams are single-writer per system.
-	spanMu    sync.Mutex
-	spans     []SpanRecord
-	spanHead  int
-	spanCap   int
-	spanTotal uint64
+	spanMu   sync.Mutex
+	spans    []SpanRecord
+	spanHead int
+	spanCap  int
 }
 
 // DefaultRingCap bounds each stream's ring when no capacity is given:

@@ -52,20 +52,6 @@ func (t Trace) Mean() float64 {
 	return s / float64(len(t))
 }
 
-// StdDev returns the population standard deviation.
-func (t Trace) StdDev() float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	m := t.Mean()
-	s := 0.0
-	for _, v := range t {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(t)))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank on a
 // sorted copy. An empty trace returns 0.
 func (t Trace) Percentile(p float64) float64 {
